@@ -1,12 +1,12 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -47,19 +47,26 @@ struct VirtualInstr {
   std::uint32_t src_seg = npos;  ///< transfer copies: producing segment
   bool is_transfer = false;
   bool uses_bus = false;  ///< transfer copy reading a remote cell
-  std::vector<std::uint32_t> deps;  ///< predecessor virtual instructions
 };
 
 /// The renamed multi-bank program before step packing: what the list
-/// scheduler and the refinement evaluator both consume.
+/// scheduler and the refinement evaluator both consume. Dependences are
+/// flat (CSR): the predecessors of virt[i] are dep[dep_off[i] ..
+/// dep_off[i + 1]), sorted and unique.
 struct Expansion {
   std::vector<VirtualInstr> virt;
+  std::vector<std::uint32_t> dep_off{0};
+  std::vector<std::uint32_t> dep;
   std::uint32_t num_segments = 0;  ///< virtual cells below this are segments
   std::uint32_t num_vcells = 0;
   std::vector<std::uint32_t> vcell_bank;
   std::uint32_t transfers = 0;
   std::uint32_t duplicates = 0;
   std::uint32_t duplicated_instructions = 0;
+
+  [[nodiscard]] std::span<const std::uint32_t> deps(std::uint32_t i) const {
+    return {dep.data() + dep_off[i], dep.data() + dep_off[i + 1]};
+  }
 };
 
 /// Post-hoc cluster→bank assignment: greedy over clusters, each taking
@@ -206,36 +213,73 @@ std::vector<std::uint32_t> assign_clusters(
   return seg_bank;
 }
 
-/// Renames the serial program onto virtual cells under a fixed
-/// segment→bank assignment and materializes every cross-bank operand as
-/// a transfer copy or a local recomputation (see scheduler.hpp, step 3).
-Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
-                 const std::vector<std::uint32_t>& seg_bank,
-                 const CostModel& cost) {
-  const auto n = graph.num_instructions();
-  Expansion ex;
-  ex.num_segments = graph.num_segments();
-  ex.num_vcells = graph.num_segments();
-  ex.virt.reserve(n + n / 8);
-  ex.vcell_bank.assign(seg_bank.begin(), seg_bank.end());
-
-  std::vector<std::uint32_t> vidx_of(n, npos);
-  // Readers of each virtual cell's *current* value: the next chain-write
-  // must wait for them (the one WAR hazard renaming does not remove).
-  std::vector<std::vector<std::uint32_t>> vreaders(ex.num_vcells);
-
-  // Per-(def, bank) cache of the local replica, flat over defs: a short
-  // intrusive chain per def (most remotely-read values reach one or two
-  // foreign banks) instead of a std::map on the hot path.
+/// Scratch of expand(), reused across the trial expansions of one
+/// schedule() call so a trial allocates nothing once it is warm.
+struct ExpandScratch {
+  std::vector<std::uint32_t> vidx_of;
+  /// Readers of each virtual cell's *current* value, as intrusive lists
+  /// (head per cell, (reader, next) nodes in a pool).
+  std::vector<std::uint32_t> reader_head;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> readers;
+  /// Per-(def, bank) cache of the local replica: a short intrusive chain
+  /// per def (most remotely-read values reach one or two foreign banks).
   struct Remote {
     std::uint32_t bank;
     std::uint32_t vidx;  ///< instruction producing the local replica
     std::uint32_t cell;  ///< local virtual cell holding it
     std::uint32_t next;  ///< next cache entry of the same def
   };
-  std::vector<std::uint32_t> remote_head(n, npos);
+  std::vector<std::uint32_t> remote_head;
   std::vector<Remote> remote_entries;
-  remote_entries.reserve(n / 8);
+  std::vector<std::uint32_t> deps;  ///< one instruction's predecessors
+};
+
+/// Renames the serial program onto virtual cells under a fixed
+/// segment→bank assignment and materializes every cross-bank operand as
+/// a transfer copy or a local recomputation (see scheduler.hpp, step 3).
+/// Overwrites `ex`, reusing its storage.
+void expand(const DependenceGraph& graph, const arch::Program& serial,
+            const std::vector<std::uint32_t>& seg_bank, const CostModel& cost,
+            ExpandScratch& ws, Expansion& ex) {
+  const auto n = graph.num_instructions();
+  ex.virt.clear();
+  ex.virt.reserve(n + n / 8);
+  ex.dep_off.assign(1, 0);
+  ex.dep.clear();
+  ex.num_segments = graph.num_segments();
+  ex.num_vcells = graph.num_segments();
+  ex.vcell_bank.assign(seg_bank.begin(), seg_bank.end());
+  ex.transfers = 0;
+  ex.duplicates = 0;
+  ex.duplicated_instructions = 0;
+
+  auto& vidx_of = ws.vidx_of;
+  vidx_of.assign(n, npos);
+  // The next chain-write of a cell must wait for the readers of its
+  // current value (the one WAR hazard renaming does not remove).
+  ws.reader_head.assign(ex.num_vcells, npos);
+  ws.readers.clear();
+  const auto add_reader = [&](std::uint32_t cell, std::uint32_t reader) {
+    ws.readers.emplace_back(reader, ws.reader_head[cell]);
+    ws.reader_head[cell] = static_cast<std::uint32_t>(ws.readers.size() - 1);
+  };
+  ws.remote_head.assign(n, npos);
+  ws.remote_entries.clear();
+  auto& remote_head = ws.remote_head;
+  auto& remote_entries = ws.remote_entries;
+
+  // Appends an instruction whose predecessors were just pushed onto
+  // ex.dep (sorted, unique) and returns its index.
+  const auto emit = [&](const VirtualInstr& v) {
+    ex.virt.push_back(v);
+    ex.dep_off.push_back(static_cast<std::uint32_t>(ex.dep.size()));
+    return static_cast<std::uint32_t>(ex.virt.size() - 1);
+  };
+  const auto new_vcell = [&](std::uint32_t bank) {
+    ex.vcell_bank.push_back(bank);
+    ws.reader_head.push_back(npos);
+    return ex.num_vcells++;
+  };
 
   // Length of the producing chain prefix of `def` within its segment,
   // and whether it reads only inputs/constants (then it can be
@@ -266,6 +310,7 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
     return p;
   };
 
+  auto& deps = ws.deps;
   for (std::uint32_t i = 0; i < n; ++i) {
     const auto& ins = serial[i];
     const auto seg = graph.segment_of(i);
@@ -274,15 +319,17 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
     VirtualInstr v;
     v.bank = bank;
     v.z = seg;
+    deps.clear();
     if (!graph.is_reset(i)) {
-      v.deps.push_back(vidx_of[graph.def_of_z(i)]);
+      deps.push_back(vidx_of[graph.def_of_z(i)]);
     }
 
     // Virtual cells this instruction reads; the final index of the
     // instruction is only known after both operands resolved (resolving
     // may emit transfer/duplicate instructions), so reader registration
     // is deferred.
-    std::vector<std::uint32_t> read_cells;
+    std::array<std::uint32_t, 2> read_cells{};
+    std::uint32_t num_read_cells = 0;
 
     const auto resolve = [&](arch::Operand op,
                              std::uint32_t def) -> arch::Operand {
@@ -291,8 +338,8 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
       }
       const auto pseg = graph.segment_of(def);
       if (seg_bank[pseg] == bank) {
-        v.deps.push_back(vidx_of[def]);
-        read_cells.push_back(pseg);
+        deps.push_back(vidx_of[def]);
+        read_cells[num_read_cells++] = pseg;
         return arch::Operand::rram(pseg);
       }
       auto entry = remote_head[def];
@@ -305,9 +352,7 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
           // Recompute the producing chain locally: same instruction
           // count as a transfer when the chain is short, but no bus
           // slot and no cross-bank dependence.
-          const auto dcell = ex.num_vcells++;
-          ex.vcell_bank.push_back(bank);
-          vreaders.emplace_back();
+          const auto dcell = new_vcell(bank);
           std::uint32_t prev = npos;
           for (std::uint32_t j = prefix.first; j <= def; ++j) {
             if (graph.segment_of(j) != pseg) {
@@ -319,10 +364,9 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
             dup.b = serial[j].b;
             dup.z = dcell;
             if (prev != npos && !graph.is_reset(j)) {
-              dup.deps.push_back(prev);
+              ex.dep.push_back(prev);
             }
-            prev = static_cast<std::uint32_t>(ex.virt.size());
-            ex.virt.push_back(std::move(dup));
+            prev = emit(dup);
             ++ex.duplicated_instructions;
           }
           ++ex.duplicates;
@@ -330,17 +374,14 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
           remote_entries.push_back({bank, prev, dcell, remote_head[def]});
           remote_head[def] = entry;
         } else {
-          const auto tcell = ex.num_vcells++;
-          ex.vcell_bank.push_back(bank);
-          vreaders.emplace_back();
+          const auto tcell = new_vcell(bank);
           VirtualInstr reset;
           reset.bank = bank;
           reset.a = arch::Operand::constant(false);
           reset.b = arch::Operand::constant(true);
           reset.z = tcell;
           reset.is_transfer = true;
-          const auto reset_idx = static_cast<std::uint32_t>(ex.virt.size());
-          ex.virt.push_back(std::move(reset));
+          const auto reset_idx = emit(reset);
           VirtualInstr copy;  // with the cell reset to 0: tcell ← src ∨ 0
           copy.bank = bank;
           copy.a = arch::Operand::rram(pseg);
@@ -349,18 +390,18 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
           copy.src_seg = pseg;
           copy.is_transfer = true;
           copy.uses_bus = true;
-          copy.deps = {reset_idx, vidx_of[def]};
-          const auto copy_idx = static_cast<std::uint32_t>(ex.virt.size());
-          vreaders[pseg].push_back(copy_idx);
-          ex.virt.push_back(std::move(copy));
+          ex.dep.push_back(vidx_of[def]);  // < reset_idx: sorted
+          ex.dep.push_back(reset_idx);
+          const auto copy_idx = emit(copy);
+          add_reader(pseg, copy_idx);
           entry = static_cast<std::uint32_t>(remote_entries.size());
           remote_entries.push_back({bank, copy_idx, tcell, remote_head[def]});
           remote_head[def] = entry;
           ++ex.transfers;
         }
       }
-      v.deps.push_back(remote_entries[entry].vidx);
-      read_cells.push_back(remote_entries[entry].cell);
+      deps.push_back(remote_entries[entry].vidx);
+      read_cells[num_read_cells++] = remote_entries[entry].cell;
       return arch::Operand::rram(remote_entries[entry].cell);
     };
     v.a = resolve(ins.a, graph.def_of_a(i));
@@ -371,39 +412,78 @@ Expansion expand(const DependenceGraph& graph, const arch::Program& serial,
     // The instruction itself is not yet registered as a reader, so no
     // self-edge can arise.
     if (!graph.is_reset(i)) {
-      for (const auto r : vreaders[seg]) {
-        v.deps.push_back(r);
+      for (auto k = ws.reader_head[seg]; k != npos; k = ws.readers[k].second) {
+        deps.push_back(ws.readers[k].first);
       }
-      vreaders[seg].clear();
+      ws.reader_head[seg] = npos;
     }
 
-    const auto self = static_cast<std::uint32_t>(ex.virt.size());
-    for (const auto cell : read_cells) {
-      if (cell != seg) {  // a chain-write's own Z read needs no WAR edge
-        vreaders[cell].push_back(self);
+    std::sort(deps.begin(), deps.end());
+    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+    ex.dep.insert(ex.dep.end(), deps.begin(), deps.end());
+    const auto self = emit(v);
+    for (std::uint32_t k = 0; k < num_read_cells; ++k) {
+      if (read_cells[k] != seg) {  // a chain-write's own Z read needs no WAR
+        add_reader(read_cells[k], self);
       }
     }
     vidx_of[i] = self;
-    ex.virt.push_back(std::move(v));
   }
-
-  for (auto& v : ex.virt) {
-    std::sort(v.deps.begin(), v.deps.end());
-    v.deps.erase(std::unique(v.deps.begin(), v.deps.end()), v.deps.end());
-  }
-  return ex;
 }
 
 /// A packed schedule of the expanded program: step assignment per virtual
-/// instruction plus, on request, the zero-slack cross-bank reads (the
-/// critical transfer edges refinement targets).
+/// instruction, the steps themselves (flat: step t holds
+/// slots[step_off[t] .. step_off[t + 1]), in ascending bank order) plus,
+/// on request, the zero-slack cross-bank reads (the critical transfer
+/// edges refinement targets).
 struct ListSchedule {
   std::vector<std::uint32_t> step_of;
-  std::vector<std::vector<std::uint32_t>> step_instrs;
+  std::vector<std::uint32_t> step_off{0};
+  std::vector<std::uint32_t> slots;
   std::uint32_t virtual_critical_path = 0;
   std::uint32_t bus_stalls = 0;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> critical_cross_edges;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> critical_local_edges;
+
+  [[nodiscard]] std::uint32_t num_steps() const {
+    return static_cast<std::uint32_t>(step_off.size() - 1);
+  }
+};
+
+/// List-scheduling priority: least slack, then tallest, then serial
+/// order. A total order, so every heap pick is deterministic.
+struct Prio {
+  std::uint32_t slack;
+  std::uint32_t height;
+  std::uint32_t vidx;
+  bool operator<(const Prio& o) const {  // "worse-than" for the max-heap
+    if (slack != o.slack) {
+      return slack > o.slack;
+    }
+    if (height != o.height) {
+      return height < o.height;
+    }
+    return vidx > o.vidx;
+  }
+};
+
+/// Scratch of list_schedule() and projected_makespan(), reused across
+/// the trials of one schedule() call.
+struct ListScratch {
+  std::vector<std::uint32_t> depth;
+  std::vector<std::uint32_t> height;
+  std::vector<std::uint32_t> slack;
+  std::vector<std::uint32_t> succ_off;
+  std::vector<std::uint32_t> succ;
+  std::vector<std::uint32_t> cursor;
+  std::vector<std::uint32_t> remaining;
+  std::vector<std::vector<Prio>> ready;  ///< per-bank max-heaps
+  std::vector<Prio> deferred;
+  std::vector<std::pair<Prio, std::uint32_t>> bank_order;  // (top, bank)
+  std::vector<std::uint32_t> picked;  ///< per bank, this step
+  std::vector<std::uint64_t> start;
+  std::vector<std::uint64_t> bank_free;
+  std::vector<std::uint64_t> servers;  ///< bus servers, min-heap
 };
 
 /// Slack-driven list scheduling into steps of at most one instruction
@@ -413,77 +493,76 @@ struct ListSchedule {
 /// height (then serial order) breaks remaining ties. On a bounded bus,
 /// banks are served most-critical-first each step and — with lookahead —
 /// off-chain copies leave bus slots to ready zero-slack copies, so the
-/// critical chain never waits behind bulk transfers.
-ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
-                           const CostModel& cost, bool lookahead,
-                           bool want_critical_edges) {
+/// critical chain never waits behind bulk transfers. Overwrites `ls`,
+/// reusing its storage.
+void list_schedule(const Expansion& ex, std::uint32_t banks,
+                   const CostModel& cost, bool lookahead,
+                   bool want_critical_edges, ListScratch& ws,
+                   ListSchedule& ls) {
   const auto& virt = ex.virt;
   const auto vn = static_cast<std::uint32_t>(virt.size());
-  ListSchedule ls;
+  ls.step_off.assign(1, 0);
+  ls.slots.clear();
+  ls.bus_stalls = 0;
+  ls.critical_cross_edges.clear();
+  ls.critical_local_edges.clear();
 
   // ASAP depth (deps always point backwards) and ALAP height, flat.
-  std::vector<std::uint32_t> depth(vn, 1);
+  auto& depth = ws.depth;
+  depth.assign(vn, 1);
   for (std::uint32_t i = 0; i < vn; ++i) {
-    for (const auto p : virt[i].deps) {
+    for (const auto p : ex.deps(i)) {
       depth[i] = std::max(depth[i], depth[p] + 1);
     }
   }
-  std::vector<std::uint32_t> height(vn, 1);
+  auto& height = ws.height;
+  height.assign(vn, 1);
   std::uint32_t cp = 0;
   for (std::uint32_t i = vn; i-- > 0;) {
     cp = std::max(cp, depth[i] + height[i] - 1);
-    for (const auto p : virt[i].deps) {
+    for (const auto p : ex.deps(i)) {
       height[p] = std::max(height[p], height[i] + 1);
     }
   }
-  std::vector<std::uint32_t> slack(vn, 0);
+  auto& slack = ws.slack;
+  slack.resize(vn);
   for (std::uint32_t i = 0; i < vn; ++i) {
     slack[i] = cp - (depth[i] + height[i] - 1);
   }
   ls.virtual_critical_path = cp;
 
   // Successors as CSR (flat, counted then filled).
-  std::vector<std::uint32_t> succ_off(vn + 1, 0);
-  for (std::uint32_t i = 0; i < vn; ++i) {
-    for (const auto p : virt[i].deps) {
-      ++succ_off[p + 1];
-    }
+  auto& succ_off = ws.succ_off;
+  succ_off.assign(vn + 1, 0);
+  for (const auto p : ex.dep) {
+    ++succ_off[p + 1];
   }
   for (std::uint32_t i = 0; i < vn; ++i) {
     succ_off[i + 1] += succ_off[i];
   }
-  std::vector<std::uint32_t> succ(succ_off[vn]);
-  {
-    auto cursor = succ_off;
-    for (std::uint32_t i = 0; i < vn; ++i) {
-      for (const auto p : virt[i].deps) {
-        succ[cursor[p]++] = i;
-      }
+  auto& succ = ws.succ;
+  succ.resize(succ_off[vn]);
+  ws.cursor.assign(succ_off.begin(), succ_off.end() - 1);
+  for (std::uint32_t i = 0; i < vn; ++i) {
+    for (const auto p : ex.deps(i)) {
+      succ[ws.cursor[p]++] = i;
     }
   }
 
-  // Max-heap per bank: least slack, then tallest, then serial order.
-  struct Prio {
-    std::uint32_t slack;
-    std::uint32_t height;
-    std::uint32_t vidx;
-    bool operator<(const Prio& o) const {  // "worse-than" for the max-heap
-      if (slack != o.slack) {
-        return slack > o.slack;
-      }
-      if (height != o.height) {
-        return height < o.height;
-      }
-      return vidx > o.vidx;
-    }
-  };
-  std::vector<std::priority_queue<Prio>> ready(banks);
-  std::vector<std::uint32_t> remaining(vn, 0);
+  auto& ready = ws.ready;
+  ready.resize(banks);
+  for (auto& heap : ready) {
+    heap.clear();
+  }
+  auto& remaining = ws.remaining;
+  remaining.resize(vn);
   const auto push_ready = [&](std::uint32_t i) {
-    ready[virt[i].bank].push({slack[i], height[i], i});
+    auto& heap = ready[virt[i].bank];
+    heap.push_back({slack[i], height[i], i});
+    std::push_heap(heap.begin(), heap.end());
   };
   for (std::uint32_t i = 0; i < vn; ++i) {
-    remaining[i] = static_cast<std::uint32_t>(virt[i].deps.size());
+    remaining[i] = ex.dep_off[i + 1] - ex.dep_off[i];
     if (remaining[i] == 0) {
       push_ready(i);
     }
@@ -491,26 +570,25 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
 
   const auto bus_width = cost.bus_width;
   ls.step_of.assign(vn, npos);
-  std::vector<Prio> deferred;
-  std::vector<std::pair<Prio, std::uint32_t>> bank_order;  // (top, bank)
-  std::uint32_t scheduled = 0;
+  auto& deferred = ws.deferred;
+  auto& bank_order = ws.bank_order;
+  ws.picked.assign(banks, npos);
   // Ready-queue occupancy, aggregated locally so the registry (one mutex
   // per call) is touched exactly once per run, not per step — this loop
   // runs once per refinement trial move.
   const bool metrics_on = util::MetricsRegistry::global().enabled();
   std::uint64_t ready_depth_sum = 0;
   std::uint64_t ready_depth_max = 0;
-  while (scheduled < vn) {
-    const auto t = static_cast<std::uint32_t>(ls.step_instrs.size());
-    auto& step = ls.step_instrs.emplace_back();
+  while (ls.slots.size() < vn) {
+    const auto t = ls.num_steps();
     std::uint32_t bus_used = 0;
     if (metrics_on) {
-      std::uint64_t depth = 0;
+      std::uint64_t depth_now = 0;
       for (std::uint32_t b = 0; b < banks; ++b) {
-        depth += ready[b].size();
+        depth_now += ready[b].size();
       }
-      ready_depth_sum += depth;
-      ready_depth_max = std::max(ready_depth_max, depth);
+      ready_depth_sum += depth_now;
+      ready_depth_max = std::max(ready_depth_max, depth_now);
     }
 
     // The critical-chain lookahead: serve banks most-critical-first, so
@@ -522,7 +600,7 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
     bank_order.clear();
     for (std::uint32_t b = 0; b < banks; ++b) {
       if (!ready[b].empty()) {
-        bank_order.emplace_back(ready[b].top(), b);
+        bank_order.emplace_back(ready[b].front(), b);
       }
     }
     if (lookahead) {
@@ -537,53 +615,65 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
                 });
     }
 
+    bool any = false;
     for (const auto& [top_unused, b] : bank_order) {
       (void)top_unused;
+      auto& heap = ready[b];
       deferred.clear();
-      std::uint32_t picked = npos;
-      while (!ready[b].empty()) {
-        const auto top = ready[b].top();
-        const auto vidx = top.vidx;
-        if (bus_width > 0 && virt[vidx].uses_bus && bus_used >= bus_width) {
+      std::uint32_t pick = npos;
+      while (!heap.empty()) {
+        const auto top = heap.front();
+        std::pop_heap(heap.begin(), heap.end());
+        heap.pop_back();
+        if (bus_width > 0 && virt[top.vidx].uses_bus && bus_used >= bus_width) {
           deferred.push_back(top);
-          ready[b].pop();
           continue;
         }
-        ready[b].pop();
-        picked = vidx;
+        pick = top.vidx;
         break;
       }
       for (const auto& d : deferred) {
-        ready[b].push(d);
+        heap.push_back(d);
+        std::push_heap(heap.begin(), heap.end());
       }
-      if (picked == npos) {
+      if (pick == npos) {
         if (!deferred.empty()) {
           ++ls.bus_stalls;  // the bank idles waiting for the bus
         }
         continue;
       }
-      if (virt[picked].uses_bus) {
+      if (virt[pick].uses_bus) {
         ++bus_used;
       }
-      ls.step_of[picked] = t;
-      step.push_back(picked);
+      ls.step_of[pick] = t;
+      ws.picked[b] = pick;
+      any = true;
     }
-    if (step.empty()) {
+    if (!any) {
       throw std::logic_error("sched: dependence cycle in virtual program");
     }
-    scheduled += static_cast<std::uint32_t>(step.size());
-    for (const auto vidx : step) {
-      for (auto k = succ_off[vidx]; k < succ_off[vidx + 1]; ++k) {
-        if (--remaining[succ[k]] == 0) {
-          push_ready(succ[k]);
+    const auto first = static_cast<std::uint32_t>(ls.slots.size());
+    for (std::uint32_t b = 0; b < banks; ++b) {
+      if (ws.picked[b] != npos) {
+        ls.slots.push_back(ws.picked[b]);
+        ws.picked[b] = npos;
+      }
+    }
+    ls.step_off.push_back(static_cast<std::uint32_t>(ls.slots.size()));
+    for (auto k = first; k < ls.slots.size(); ++k) {
+      const auto vidx = ls.slots[k];
+      for (auto e = succ_off[vidx]; e < succ_off[vidx + 1]; ++e) {
+        if (--remaining[succ[e]] == 0) {
+          push_ready(succ[e]);
         }
       }
     }
   }
   if (metrics_on) {
     auto& reg = util::MetricsRegistry::global();
-    const auto steps = ls.step_instrs.size();
+    const auto steps = ls.num_steps();
     reg.counter_add("sched.list.runs");
+    reg.counter_add("sched.list.ops", vn);
     reg.counter_add("sched.list.bus_stalls", ls.bus_stalls);
     reg.observe("sched.list.ready_depth_mean",
                 steps > 0 ? static_cast<double>(ready_depth_sum) /
@@ -640,7 +730,7 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
       if (slack[w] > 0 || virt[w].is_transfer || virt[w].z >= ex.num_segments) {
         continue;
       }
-      for (const auto p : virt[w].deps) {
+      for (const auto p : ex.deps(w)) {
         if (slack[p] == 0 && !virt[p].is_transfer &&
             virt[p].bank == virt[w].bank && virt[p].z != virt[w].z &&
             virt[p].z < ex.num_segments && reads_cell(virt[p], virt[w].z)) {
@@ -653,7 +743,6 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
                                               ls.critical_local_edges.end()),
                                   ls.critical_local_edges.end());
   }
-  return ls;
 }
 
 /// Projected decoupled makespan of a packed virtual schedule, before
@@ -667,41 +756,27 @@ ListSchedule list_schedule(const Expansion& ex, std::uint32_t banks,
 /// with exactly the quantities refinement moves (chain shape, bank
 /// loads, transfer placement) — the right objective surrogate.
 std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
-                                 std::uint32_t banks,
-                                 std::uint32_t bus_width) {
+                                 std::uint32_t banks, std::uint32_t bus_width,
+                                 ListScratch& ws) {
   constexpr std::uint64_t phases = arch::Machine::phases_per_instruction;
   const auto& virt = ex.virt;
   const auto vn = static_cast<std::uint32_t>(virt.size());
   if (vn == 0) {
     return 0;
   }
-  // (step, bank) program order — topological (deps sit at earlier
-  // steps) and the bus arbiter's grant order.
-  std::vector<std::uint32_t> order;
-  order.reserve(vn);
-  for (const auto& step : ls.step_instrs) {
-    auto slots = step;
-    std::sort(slots.begin(), slots.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return virt[x].bank < virt[y].bank;
-              });
-    order.insert(order.end(), slots.begin(), slots.end());
-  }
-  std::vector<std::uint64_t> start(vn, 0);
-  std::vector<std::uint64_t> bank_free(banks, 0);
-  std::vector<bool> bank_issued(banks, false);
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<>>
-      servers;
-  for (std::uint32_t k = 0; k < bus_width; ++k) {
-    servers.push(0);
-  }
+  auto& start = ws.start;
+  start.resize(vn);
+  ws.bank_free.assign(banks, 0);
+  auto& servers = ws.servers;
+  servers.assign(bus_width, 0);  // all-equal: already a heap
   std::uint64_t last_bus_start = 0;
   std::uint64_t makespan = 0;
-  for (const auto i : order) {
+  // Slots in (step, bank) program order — topological (deps sit at
+  // earlier steps) and the bus arbiter's grant order.
+  for (const auto i : ls.slots) {
     const auto& v = virt[i];
-    auto s = bank_issued[v.bank] ? bank_free[v.bank] : 0;
-    for (const auto p : virt[i].deps) {
+    auto s = ws.bank_free[v.bank];
+    for (const auto p : ex.deps(i)) {
       if (virt[p].bank == v.bank) {
         continue;  // same-bank deps ride the stream cadence
       }
@@ -720,16 +795,15 @@ std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
     if (v.uses_bus) {
       s = std::max(s, last_bus_start);  // in-order grant chain
       if (bus_width > 0) {
-        const auto server = servers.top();
-        servers.pop();
-        s = std::max(s, server);
-        servers.push(s + phases);
+        std::pop_heap(servers.begin(), servers.end(), std::greater<>());
+        s = std::max(s, servers.back());
+        servers.back() = s + phases;
+        std::push_heap(servers.begin(), servers.end(), std::greater<>());
       }
       last_bus_start = s;
     }
     start[i] = s;
-    bank_free[v.bank] = s + (phases - 1);
-    bank_issued[v.bank] = true;
+    ws.bank_free[v.bank] = s + (phases - 1);
     makespan = std::max(makespan, s + phases);
   }
   return makespan;
@@ -780,25 +854,31 @@ ScheduleResult schedule(const arch::Program& serial,
   // cached so the final emission can reuse them instead of re-running
   // the two most expensive phases on an assignment that was already
   // scheduled (the last kept refinement move, or the unrefined start).
+  // Every trial overwrites the cache and reuses the scratch buffers, so
+  // a warm trial's expand and list_schedule allocate nothing.
   struct EvalCache {
     std::vector<std::uint32_t> sb;
     Expansion ex;
     ListSchedule ls;
     bool valid = false;
   } cache;
+  ExpandScratch expand_scratch;
+  ListScratch list_scratch;
   const auto evaluate = [&](const std::vector<std::uint32_t>& sb) {
-    cache.ex = expand(graph, serial, sb, opts.cost);
-    cache.ls = list_schedule(cache.ex, banks, opts.cost, opts.lookahead, true);
+    expand(graph, serial, sb, opts.cost, expand_scratch, cache.ex);
+    list_schedule(cache.ex, banks, opts.cost, opts.lookahead, true,
+                  list_scratch, cache.ls);
     cache.sb = sb;
     cache.valid = true;
-    RefineEval eval{
-        static_cast<std::uint32_t>(cache.ls.step_instrs.size()),
-        cache.ex.transfers, cache.ls.virtual_critical_path,
-        cache.ls.bus_stalls, cache.ls.critical_cross_edges,
-        cache.ls.critical_local_edges};
+    RefineEval eval{cache.ls.num_steps(),
+                    cache.ex.transfers,
+                    cache.ls.virtual_critical_path,
+                    cache.ls.bus_stalls,
+                    cache.ls.critical_cross_edges,
+                    cache.ls.critical_local_edges};
     if (makespan_objective) {
-      eval.makespan =
-          projected_makespan(cache.ex, cache.ls, banks, opts.cost.bus_width);
+      eval.makespan = projected_makespan(cache.ex, cache.ls, banks,
+                                         opts.cost.bus_width, list_scratch);
     }
     return eval;
   };
@@ -837,7 +917,6 @@ ScheduleResult schedule(const arch::Program& serial,
           RefineEval eval;
         };
         std::vector<Start> starts;
-        const bool seed_debug = std::getenv("PLIM_SEED_DEBUG") != nullptr;
         for (const auto order :
              {SeedOrder::producer, SeedOrder::lpt, SeedOrder::chain_segment,
               SeedOrder::chain_height}) {
@@ -852,10 +931,6 @@ ScheduleResult schedule(const arch::Program& serial,
             continue;
           }
           auto eval = evaluate(cand);
-          if (seed_debug) {
-            std::fprintf(stderr, "seed %d: steps %u xfer %u\n",
-                         static_cast<int>(order), eval.steps, eval.transfers);
-          }
           starts.push_back({std::move(cand), std::move(eval)});
         }
         std::sort(starts.begin(), starts.end(),
@@ -956,21 +1031,18 @@ ScheduleResult schedule(const arch::Program& serial,
   // ---- expansion + list scheduling --------------------------------------
   // The final assignment has usually just been trial-scheduled (the last
   // kept refinement move, or the dual-start winner) — reuse that run.
-  Expansion ex;
-  ListSchedule ls;
   {
     const util::TraceSpan pack_span("sched.pack");
-    if (cache.valid && cache.sb == seg_bank) {
-      ex = std::move(cache.ex);
-      ls = std::move(cache.ls);
-    } else {
-      ex = expand(graph, serial, seg_bank, opts.cost);
-      ls = list_schedule(ex, banks, opts.cost, opts.lookahead, false);
+    if (!cache.valid || cache.sb != seg_bank) {
+      expand(graph, serial, seg_bank, opts.cost, expand_scratch, cache.ex);
+      list_schedule(cache.ex, banks, opts.cost, opts.lookahead, false,
+                    list_scratch, cache.ls);
     }
   }
+  const auto& ex = cache.ex;
+  const auto& ls = cache.ls;
   const auto& virt = ex.virt;
   const auto vn = static_cast<std::uint32_t>(virt.size());
-  const auto num_steps = static_cast<std::uint32_t>(ls.step_instrs.size());
   const auto num_vcells = ex.num_vcells;
 
   // ---- physical allocation: disjoint per-bank ranges, FIFO recycling ----
@@ -1073,15 +1145,10 @@ ScheduleResult schedule(const arch::Program& serial,
     return op.is_rram() ? arch::Operand::rram(final_cell(op.address())) : op;
   };
   std::vector<std::uint32_t> bank_load(banks, 0);
-  for (const auto& step : ls.step_instrs) {
-    auto slots = step;
-    std::sort(slots.begin(), slots.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return virt[x].bank < virt[y].bank;
-              });
+  for (std::uint32_t t = 0; t < ls.num_steps(); ++t) {
     pp.begin_step();
-    for (const auto vidx : slots) {
-      const auto& v = virt[vidx];
+    for (auto k = ls.step_off[t]; k < ls.step_off[t + 1]; ++k) {
+      const auto& v = virt[ls.slots[k]];
       ++bank_load[v.bank];
       pp.add_slot({v.bank,
                    arch::Instruction{remap(v.a), remap(v.b), final_cell(v.z)},

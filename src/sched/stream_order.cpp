@@ -8,6 +8,7 @@
 
 #include "arch/machine.hpp"
 #include "sched/decoupled.hpp"
+#include "util/metrics.hpp"
 
 namespace plim::sched {
 
@@ -164,17 +165,48 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
   // makespan. Among the ops a bank could issue at its earliest feasible
   // time, the one with the greatest critical-path height goes first;
   // across banks, the globally earliest feasible issue goes first (ties
-  // to the taller candidate, then the lower flat id for determinism).
+  // to the lower bank index).
+  //
+  // Two heaps per bank keep this O(n log n): `pending` holds released
+  // ops keyed by dep_ready, and feeds `ready` — ops whose dep_ready has
+  // passed the bank's clock, ordered by (height desc, flat id asc). A
+  // bank's clock only moves forward, so an op never leaves `ready`
+  // except by issuing: each op is pushed and popped once per heap.
   const auto stream_latency = phases > 1 ? phases - 1 : phases;
   std::vector<std::uint64_t> dep_ready(ops.total, 0);
   std::vector<std::uint64_t> bank_free(ops.banks, 0);
   using Pending = std::pair<std::uint64_t, std::uint32_t>;  // (dep_ready, id)
-  std::vector<std::priority_queue<Pending, std::vector<Pending>,
-                                  std::greater<>>>
-      pending(ops.banks);
+  const auto pending_after = [](const Pending& x, const Pending& y) {
+    return x > y;  // min-heap on (dep_ready, id)
+  };
+  const auto ready_below = [&](std::uint32_t x, std::uint32_t y) {
+    // max-heap: tallest first, then the lower flat id
+    return height[x] != height[y] ? height[x] < height[y] : x > y;
+  };
+  std::vector<std::vector<Pending>> pending(ops.banks);
+  std::vector<std::vector<std::uint32_t>> ready(ops.banks);
+  std::uint64_t heap_ops = 0;
+  const auto release = [&](std::uint32_t i) {
+    auto& heap = pending[ops.bank_of[i]];
+    heap.emplace_back(dep_ready[i], i);
+    std::push_heap(heap.begin(), heap.end(), pending_after);
+    ++heap_ops;
+  };
+  // Moves every pending op of bank `b` startable by `time` into `ready`.
+  const auto promote = [&](std::uint32_t b, std::uint64_t time) {
+    auto& from = pending[b];
+    auto& to = ready[b];
+    while (!from.empty() && from.front().first <= time) {
+      std::pop_heap(from.begin(), from.end(), pending_after);
+      to.push_back(from.back().second);
+      from.pop_back();
+      std::push_heap(to.begin(), to.end(), ready_below);
+      heap_ops += 2;
+    }
+  };
   for (std::uint32_t i = 0; i < ops.total; ++i) {
     if (indeg[i] == 0) {
-      pending[ops.bank_of[i]].push({0, i});
+      release(i);
     }
   }
   std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
@@ -186,16 +218,21 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
   std::uint64_t last_bus_start = 0;
   std::vector<std::uint32_t> issue_order;
   issue_order.reserve(ops.total);
-  std::vector<Pending> stash;  // scratch for the per-bank height pick
   while (issue_order.size() < ops.total) {
-    // The bank that can issue earliest.
+    // The bank that can issue earliest: at its own clock when something
+    // is ready there, else when its first pending op becomes ready.
     std::uint32_t best_bank = ops.banks;
     std::uint64_t best_time = 0;
     for (std::uint32_t b = 0; b < ops.banks; ++b) {
-      if (pending[b].empty()) {
+      promote(b, bank_free[b]);
+      std::uint64_t t = 0;
+      if (!ready[b].empty()) {
+        t = bank_free[b];
+      } else if (!pending[b].empty()) {
+        t = pending[b].front().first;
+      } else {
         continue;
       }
-      const auto t = std::max(bank_free[b], pending[b].top().first);
       if (best_bank == ops.banks || t < best_time) {
         best_bank = b;
         best_time = t;
@@ -207,25 +244,12 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
       return result;
     }
     // Tallest candidate among this bank's ops startable at best_time.
-    auto& heap = pending[best_bank];
-    stash.clear();
-    std::uint32_t pick = ops.total;
-    while (!heap.empty() && heap.top().first <= best_time) {
-      const auto cand = heap.top().second;
-      heap.pop();
-      if (pick == ops.total || height[cand] > height[pick] ||
-          (height[cand] == height[pick] && cand < pick)) {
-        if (pick != ops.total) {
-          stash.push_back({dep_ready[pick], pick});
-        }
-        pick = cand;
-      } else {
-        stash.push_back({dep_ready[cand], cand});
-      }
-    }
-    for (const auto& s : stash) {
-      heap.push(s);
-    }
+    promote(best_bank, best_time);
+    auto& heap = ready[best_bank];
+    std::pop_heap(heap.begin(), heap.end(), ready_below);
+    const auto pick = heap.back();
+    heap.pop_back();
+    ++heap_ops;
     auto start = best_time;
     if (uses_bus[pick]) {
       start = std::max(start, last_bus_start);  // in-order grant chain
@@ -243,9 +267,12 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
       const auto [j, latency] = succ[k];
       dep_ready[j] = std::max(dep_ready[j], start + latency);
       if (--indeg[j] == 0) {
-        pending[ops.bank_of[j]].push({dep_ready[j], j});
+        release(j);
       }
     }
+  }
+  if (auto& reg = util::MetricsRegistry::global(); reg.enabled()) {
+    reg.counter_add("sched.stream_order.heap_ops", heap_ops);
   }
 
   // Repack the issue order into lockstep steps — the canonical storage.

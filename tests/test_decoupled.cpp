@@ -14,6 +14,7 @@
 #include "sched/stream_order.hpp"
 #include "sched/text.hpp"
 #include "sched/verify.hpp"
+#include "util/metrics.hpp"
 
 namespace plim::sched {
 namespace {
@@ -338,6 +339,37 @@ TEST(StreamReorder, KeepsAnAlreadyTightScheduleUntouched) {
   EXPECT_FALSE(r.applied);
   EXPECT_EQ(r.saved_cycles, 0u);
   EXPECT_EQ(to_text(result.program), text);
+}
+
+TEST(StreamReorder, HeapWorkIsLinearithmic) {
+  // Two banks of mutually independent ops: every op of a bank is ready
+  // at once. The issue loop must still push and pop each op a constant
+  // number of times (pending heap, then ready heap), not re-scan the
+  // bank's whole ready set on every issue.
+  constexpr std::uint32_t kPerBank = 512;
+  ParallelProgram p(2);
+  p.set_bank_range(0, 0, kPerBank);
+  p.set_bank_range(1, kPerBank, 2 * kPerBank);
+  for (std::uint32_t k = 0; k < kPerBank; ++k) {
+    p.begin_step();
+    for (std::uint32_t b = 0; b < 2; ++b) {
+      p.add_slot({b, {arch::Operand::constant(false),
+                      arch::Operand::constant(true), b * kPerBank + k},
+                  false});
+    }
+  }
+  ASSERT_EQ(p.validate(), "");
+
+  auto& reg = util::MetricsRegistry::global();
+  reg.reset();
+  reg.set_enabled(true);
+  reorder_streams(p, 0, kPhases);
+  const auto heap_ops = reg.counter("sched.stream_order.heap_ops");
+  reg.set_enabled(false);
+  reg.reset();
+  ASSERT_EQ(p.validate(), "");
+  EXPECT_GT(heap_ops, 0u);
+  EXPECT_LE(heap_ops, 4u * 2 * kPerBank);
 }
 
 // ---- machine execution ------------------------------------------------------

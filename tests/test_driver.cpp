@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -11,6 +13,7 @@
 #include "circuits/epfl.hpp"
 #include "core/pipeline.hpp"
 #include "io/blif.hpp"
+#include "sched/text.hpp"
 #include "util/metrics.hpp"
 
 namespace plim {
@@ -448,6 +451,94 @@ TEST(Golden, StatsReportJsonMatchesGoldenFile) {
   EXPECT_EQ(json, expected)
       << "StatsReport schema/trajectory drifted — if intentional, "
          "regenerate with PLIM_REGEN_GOLDEN=1 (see test comment)";
+}
+
+/// FNV-1a-64 digest of a listing: a compact fingerprint to pin in a
+/// golden file instead of the listing itself.
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Pins the scheduler's emitted program — every step, slot, cell and
+/// sync token — on a matrix of multi-bank configurations, as one
+/// FNV-1a-64 digest of sched::to_text per configuration. Speed-ups of
+/// the scheduler's hot path must leave these byte-identical. `voter`@2
+/// and `max`@8 (compiler placement) are the configurations on which the
+/// decoupled stream reorder is adopted, so they pin its issue order.
+/// Regenerate like the StatsReport golden file:
+///   PLIM_REGEN_GOLDEN=1 ./test_driver --gtest_filter=Golden.*
+TEST(Golden, ScheduleListingsMatch) {
+  struct Config {
+    std::string benchmark;
+    std::uint32_t banks;
+    bool decoupled;
+    std::uint32_t bus_width = 0;
+    bool compiler_placement = false;
+    bool reorder_adopted = false;
+  };
+  std::vector<Config> configs;
+  for (const auto* name :
+       {"ctrl", "router", "int2float", "cavlc", "dec", "priority"}) {
+    for (const std::uint32_t banks : {4u, 8u}) {
+      for (const bool decoupled : {false, true}) {
+        configs.push_back({name, banks, decoupled});
+      }
+    }
+  }
+  configs.push_back({"int2float", 4, true, 1});
+  configs.push_back({"voter", 2, true, 0, false, true});
+  configs.push_back({"max", 8, true, 0, true, true});
+
+  std::string listing;
+  for (const auto& c : configs) {
+    Options options;
+    options.banks = c.banks;
+    options.verify.enabled = false;
+    options.schedule.execution = c.decoupled ? sched::ExecutionModel::decoupled
+                                             : sched::ExecutionModel::lockstep;
+    options.schedule.cost.bus_width = c.bus_width;
+    if (c.compiler_placement) {
+      options.placement = PlacementMode::compiler;
+    }
+    const auto outcome =
+        Driver(options).run(CompileRequest::from_benchmark(c.benchmark));
+    ASSERT_TRUE(outcome.ok()) << outcome.error_summary();
+    ASSERT_TRUE(outcome.parallel.has_value());
+    ASSERT_TRUE(outcome.stats.schedule.has_value());
+    if (c.reorder_adopted) {
+      EXPECT_GT(outcome.stats.schedule->stream_reorder_saved_cycles, 0u)
+          << c.benchmark << ": the stream reorder no longer fires here";
+    }
+    char line[160];
+    std::snprintf(line, sizeof line, "%s banks=%u %s bus=%u %s %016llx\n",
+                  c.benchmark.c_str(), c.banks,
+                  c.decoupled ? "decoupled" : "lockstep", c.bus_width,
+                  c.compiler_placement ? "compiler" : "post",
+                  static_cast<unsigned long long>(
+                      fnv1a64(sched::to_text(*outcome.parallel))));
+    listing += line;
+  }
+
+  const std::string golden_path =
+      std::string(PLIM_SOURCE_DIR) + "/tests/golden/sched_listings.txt";
+  if (std::getenv("PLIM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << listing;
+    GTEST_SKIP() << "regenerated " << golden_path;
+  }
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing " << golden_path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_EQ(listing, buffer.str())
+      << "scheduled listings drifted — if intentional, regenerate with "
+         "PLIM_REGEN_GOLDEN=1 (see test comment)";
 }
 
 }  // namespace

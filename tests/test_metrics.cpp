@@ -142,6 +142,9 @@ TEST_F(MetricsTest, SchedulerFeedsRegistry) {
   EXPECT_GE(reg.histogram("sched.list.ready_depth_mean").count, 1u);
   // Refinement tallies match the schedule stats' own accounting.
   ASSERT_TRUE(outcome.stats.schedule.has_value());
+  // One of those runs list-scheduled the emitted program in full.
+  EXPECT_GE(reg.counter("sched.list.ops"),
+            outcome.stats.schedule->parallel_instructions);
   EXPECT_EQ(reg.counter("refine.moves_tried"),
             outcome.stats.schedule->refine_moves_tried);
   EXPECT_EQ(reg.counter("refine.moves_kept") +

@@ -13,9 +13,12 @@ the same way: shrinking it by more than the tolerance fails the diff
 (missing on either side is noted and skipped).
 Configurations are matched by (benchmark, mode, banks, bus_width);
 entries present on only one side are reported but do not fail the diff
-(benchmarks and sweep shapes may legitimately grow), a metric missing
-on either side is noted and skipped (the JSON schema may grow), and
-timing fields like schedule_ms are ignored.
+(benchmarks and sweep shapes may legitimately grow), and a metric
+missing on either side is noted and skipped (the JSON schema may grow).
+
+Wall-clock is reported, never gated: after the verdict, every matched
+configuration's `schedule_ms` committed -> fresh ratio is printed with
+the geometric mean of the ratios. The exit code ignores them.
 
 Every per-configuration block is one plim::StatsReport — the schema
 shared with `plimc --json` / `plimc --batch`: schedule metrics live in
@@ -28,6 +31,7 @@ Usage: diff_bench.py committed.json fresh.json [--tolerance 0.05]
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -38,8 +42,17 @@ def sched(block):
     return block
 
 
+def schedule_ms(block):
+    """Scheduling wall-clock of one config block, or None."""
+    for source in (block.get("metrics"), sched(block)):
+        if isinstance(source, dict) and isinstance(
+                source.get("schedule_ms"), (int, float)):
+            return source["schedule_ms"]
+    return None
+
+
 def entries(trajectory):
-    """Yield ((benchmark, mode, banks, bus_width), schedule-metrics)."""
+    """Yield ((benchmark, mode, banks, bus_width), config block)."""
     for bench in trajectory.get("benchmarks", []):
         name = bench.get("benchmark", "?")
         for mode, payload in bench.items():
@@ -47,16 +60,38 @@ def entries(trajectory):
                 continue
             if isinstance(payload, dict) and isinstance(
                     payload.get("banks"), list):
-                for entry in (sched(e) for e in payload["banks"]):
-                    yield (name, mode, entry["banks"], entry.get("bus_width", 0)), entry
-                for entry in (sched(e) for e in payload.get("bus_4banks", [])):
-                    yield (name, mode, 4, entry.get("bus_width", 0)), entry
+                for block in payload["banks"]:
+                    entry = sched(block)
+                    yield (name, mode, entry["banks"],
+                           entry.get("bus_width", 0)), block
+                for block in payload.get("bus_4banks", []):
+                    yield (name, mode, 4, sched(block).get("bus_width", 0)), block
             elif isinstance(payload, dict):
                 entry = sched(payload)
                 if "steps" in entry:
                     # flat single-config blocks (e.g. unclustered_4banks)
                     yield (name, mode, entry.get("banks", 0),
-                           entry.get("bus_width", 0)), entry
+                           entry.get("bus_width", 0)), payload
+
+
+def report_wall_clock(committed, fresh):
+    """Print schedule_ms committed -> fresh per config and the geomean."""
+    ratios = []
+    for key, old in sorted(committed.items()):
+        new = fresh.get(key)
+        before = schedule_ms(old)
+        after = schedule_ms(new) if new is not None else None
+        if not before or not after or before <= 0 or after <= 0:
+            continue
+        ratios.append(after / before)
+        name, mode, banks, bus = key
+        print(f"wall-clock: {name} ({mode}, {banks} banks, bus {bus}) "
+              f"schedule_ms {before:.3f} -> {after:.3f} "
+              f"(x{after / before:.3f})")
+    if ratios:
+        geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+        print(f"wall-clock: schedule_ms geomean ratio x{geomean:.3f} over "
+              f"{len(ratios)} configurations (reported, not gated)")
 
 
 def main():
@@ -71,8 +106,10 @@ def main():
         committed_top = json.load(f)
     with open(args.fresh) as f:
         fresh_top = json.load(f)
-    committed = dict(entries(committed_top))
-    fresh = dict(entries(fresh_top))
+    committed_blocks = dict(entries(committed_top))
+    fresh_blocks = dict(entries(fresh_top))
+    committed = {k: sched(b) for k, b in committed_blocks.items()}
+    fresh = {k: sched(b) for k, b in fresh_blocks.items()}
 
     regressions = []
     compared = 0
@@ -124,10 +161,11 @@ def main():
     if regressions:
         print(f"diff_bench: {len(regressions)} regression(s) over "
               f"{compared} configurations")
-        return 1
-    print(f"diff_bench: OK — {compared} configurations within "
-          f"{args.tolerance:.0%}")
-    return 0
+    else:
+        print(f"diff_bench: OK — {compared} configurations within "
+              f"{args.tolerance:.0%}")
+    report_wall_clock(committed_blocks, fresh_blocks)
+    return 1 if regressions else 0
 
 
 if __name__ == "__main__":
