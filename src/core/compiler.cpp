@@ -6,9 +6,9 @@
 #include <memory>
 #include <queue>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
+#include "mig/cleanup.hpp"
 #include "mig/views.hpp"
 #include "sched/clustering.hpp"
 
@@ -19,35 +19,6 @@ namespace {
 using mig::Mig;
 using mig::Signal;
 using arch::Operand;
-
-/// Nodes reachable from the POs (constants and PIs always count) — the
-/// set the compiler translates and the live-set bound reasons over.
-std::vector<bool> reachable_from_pos(const Mig& mig) {
-  std::vector<bool> reach(mig.size(), false);
-  reach[0] = true;
-  std::vector<mig::node> stack;
-  mig.foreach_pi([&](mig::node n) { reach[n] = true; });
-  mig.foreach_po([&](Signal f, std::uint32_t) {
-    if (!reach[f.index()]) {
-      reach[f.index()] = true;
-      stack.push_back(f.index());
-    }
-  });
-  while (!stack.empty()) {
-    const mig::node n = stack.back();
-    stack.pop_back();
-    if (!mig.is_gate(n)) {
-      continue;
-    }
-    for (const auto f : mig.fanins(n)) {
-      if (!reach[f.index()]) {
-        reach[f.index()] = true;
-        stack.push_back(f.index());
-      }
-    }
-  }
-  return reach;
-}
 
 /// See live_set_lower_bound() — shared with the compiler, which already
 /// has the reachability bitmap in hand.
@@ -113,6 +84,7 @@ class Compiler {
         compl_cell_(m.size(), -1),
         computed_(m.size(), false),
         max_parent_level_(m.size(), 0),
+        pi_copy_(m.size(), -1),
         pin_(m.size(), 0) {
     if (opts_.placement_banks > 0) {
       auto banked = std::make_unique<BankedAllocator>(
@@ -197,7 +169,7 @@ class Compiler {
   // ---- preparation ---------------------------------------------------------
 
   void prepare() {
-    reach_ = reachable_from_pos(mig_);
+    reach_ = mig::reachable_nodes(mig_);
 
     // Uses = reachable parent gates (to be computed) + PO references
     // (permanent pins, so output cells are never reclaimed).
@@ -1167,13 +1139,10 @@ class Compiler {
         }
         return static_cast<std::uint32_t>(compl_cell_[n]);
       }
-      const auto it = pi_copy_.find(n);
-      if (it != pi_copy_.end()) {
-        return it->second;
+      if (pi_copy_[n] < 0) {
+        pi_copy_[n] = emit_copy_of(n);
       }
-      const auto cell = emit_copy_of(n);
-      pi_copy_.emplace(n, cell);
-      return cell;
+      return static_cast<std::uint32_t>(pi_copy_[n]);
     }
     // Gate: PO references pin remaining_uses_ ≥ 1, so the value cell can
     // never have been released — though under capacity pressure it (or a
@@ -1218,7 +1187,7 @@ class Compiler {
   std::vector<std::int64_t> compl_cell_;
   std::vector<bool> computed_;
   std::vector<std::uint32_t> max_parent_level_;
-  std::unordered_map<mig::node, std::uint32_t> pi_copy_;
+  std::vector<std::int64_t> pi_copy_;  ///< PI → cell holding a plain copy
   std::optional<std::uint32_t> const_zero_cell_;
   std::optional<std::uint32_t> const_one_cell_;
   std::uint32_t translated_ = 0;
@@ -1238,7 +1207,7 @@ class Compiler {
 }  // namespace
 
 std::uint32_t live_set_lower_bound(const mig::Mig& mig) {
-  return lower_bound_from_reach(mig, reachable_from_pos(mig));
+  return lower_bound_from_reach(mig, mig::reachable_nodes(mig));
 }
 
 CompileResult compile(const mig::Mig& mig, const CompileOptions& opts) {

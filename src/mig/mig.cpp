@@ -1,6 +1,8 @@
 #include "mig/mig.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 namespace plim::mig {
 
@@ -36,13 +38,19 @@ std::uint32_t Mig::create_po(Signal f, std::string name) {
   return id;
 }
 
-Signal Mig::create_maj(Signal a, Signal b, Signal c) {
-  assert(a.index() < nodes_.size());
-  assert(b.index() < nodes_.size());
-  assert(c.index() < nodes_.size());
+void Mig::reserve(std::uint32_t n) {
+  nodes_.reserve(n);
+  const auto capacity = std::bit_ceil(2 * std::size_t{n});
+  if (capacity > strash_.size()) {
+    strash_rehash(capacity);
+  }
+}
 
-  // Trivial Ω.M simplifications. These also fold constant pairs, e.g.
-  // ⟨01z⟩ = z and ⟨00z⟩ = 0.
+namespace {
+
+/// Trivial Ω.M simplifications: two equal fanins, or a fanin pair x/x̄.
+/// These also fold constant pairs, e.g. ⟨01z⟩ = z and ⟨00z⟩ = 0.
+std::optional<Signal> fold_trivial(Signal a, Signal b, Signal c) {
   if (a == b) {
     return a;
   }
@@ -60,6 +68,63 @@ Signal Mig::create_maj(Signal a, Signal b, Signal c) {
   }
   if (b == !c) {
     return a;
+  }
+  return std::nullopt;
+}
+
+/// Multiplicative mixer over a sorted fanin key.
+std::uint64_t strash_hash(const std::array<std::uint32_t, 3>& k) {
+  std::uint64_t h = k[0] * 0x9e3779b97f4a7c15ull;
+  h = (h ^ k[1]) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ k[2]) * 0x94d049bb133111ebull;
+  return h ^ (h >> 32);
+}
+
+}  // namespace
+
+Mig::StrashKey Mig::strash_key(const std::array<Signal, 3>& f) {
+  StrashKey k{f[0].raw(), f[1].raw(), f[2].raw()};
+  if (k[0] > k[1]) {
+    std::swap(k[0], k[1]);
+  }
+  if (k[1] > k[2]) {
+    std::swap(k[1], k[2]);
+  }
+  if (k[0] > k[1]) {
+    std::swap(k[0], k[1]);
+  }
+  return k;
+}
+
+std::size_t Mig::strash_slot(const StrashKey& k) const {
+  const std::size_t mask = strash_.size() - 1;
+  for (std::size_t i = strash_hash(k) & mask;; i = (i + 1) & mask) {
+    const node n = strash_[i];
+    if (n == 0 || strash_key(nodes_[n].fanin) == k) {
+      return i;
+    }
+  }
+}
+
+void Mig::strash_rehash(std::size_t capacity) {
+  strash_.assign(capacity, 0);
+  const std::size_t mask = capacity - 1;
+  foreach_gate([&](node n) {
+    std::size_t i = strash_hash(strash_key(nodes_[n].fanin)) & mask;
+    while (strash_[i] != 0) {
+      i = (i + 1) & mask;
+    }
+    strash_[i] = n;
+  });
+}
+
+Signal Mig::create_maj(Signal a, Signal b, Signal c) {
+  assert(a.index() < nodes_.size());
+  assert(b.index() < nodes_.size());
+  assert(c.index() < nodes_.size());
+
+  if (const auto folded = fold_trivial(a, b, c)) {
+    return *folded;
   }
 
   // The strash key uses the fanins sorted by raw value (Ω.C: MAJ is fully
@@ -68,53 +133,38 @@ Signal Mig::create_maj(Signal a, Signal b, Signal c) {
   // children from left to right", so child order is meaningful and must
   // survive construction. Complement bits stay exactly where the caller
   // put them (see class comment).
-  std::array<Signal, 3> sorted{a, b, c};
-  std::sort(sorted.begin(), sorted.end(),
-            [](Signal x, Signal y) { return x.raw() < y.raw(); });
-
-  const StrashKey key{sorted[0].raw(), sorted[1].raw(), sorted[2].raw()};
-  if (const auto it = strash_.find(key); it != strash_.end()) {
+  if (2 * (std::size_t{num_gates_} + 1) > strash_.size()) {
+    strash_rehash(std::max<std::size_t>(16, 2 * strash_.size()));
+  }
+  const std::array<Signal, 3> fanin{a, b, c};
+  const auto slot = strash_slot(strash_key(fanin));
+  if (strash_[slot] != 0) {
     ++strash_hits_;
-    return Signal(it->second, false);
+    return Signal(strash_[slot], false);
   }
 
   const node n = static_cast<node>(nodes_.size());
   Node gate;
   gate.kind = NodeKind::gate;
-  gate.fanin = {a, b, c};
+  gate.fanin = fanin;
   nodes_.push_back(gate);
-  strash_.emplace(key, n);
+  strash_[slot] = n;
   ++num_gates_;
   return Signal(n, false);
 }
 
 std::optional<Signal> Mig::find_maj(Signal a, Signal b, Signal c) const {
-  if (a == b) {
-    return a;
+  if (const auto folded = fold_trivial(a, b, c)) {
+    return folded;
   }
-  if (a == !b) {
-    return c;
+  if (strash_.empty()) {
+    return std::nullopt;
   }
-  if (a == c) {
-    return a;
+  const node n = strash_[strash_slot(strash_key({a, b, c}))];
+  if (n == 0) {
+    return std::nullopt;
   }
-  if (a == !c) {
-    return b;
-  }
-  if (b == c) {
-    return b;
-  }
-  if (b == !c) {
-    return a;
-  }
-  std::array<Signal, 3> fanin{a, b, c};
-  std::sort(fanin.begin(), fanin.end(),
-            [](Signal x, Signal y) { return x.raw() < y.raw(); });
-  const StrashKey key{fanin[0].raw(), fanin[1].raw(), fanin[2].raw()};
-  if (const auto it = strash_.find(key); it != strash_.end()) {
-    return Signal(it->second, false);
-  }
-  return std::nullopt;
+  return Signal(n, false);
 }
 
 Signal Mig::create_and(Signal a, Signal b) {

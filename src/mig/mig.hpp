@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mig/signal.hpp"
@@ -34,6 +33,10 @@ class Mig {
   enum class NodeKind : std::uint8_t { constant, pi, gate };
 
   Mig();
+
+  /// Pre-sizes node storage and the structural hash table for `n` nodes
+  /// in total, so building a network of known size never rehashes.
+  void reserve(std::uint32_t n);
 
   // ---- construction -----------------------------------------------------
 
@@ -184,29 +187,28 @@ class Mig {
     NodeKind kind = NodeKind::gate;
   };
 
-  struct StrashKey {
-    std::uint32_t a, b, c;
-    friend bool operator==(const StrashKey&, const StrashKey&) = default;
-  };
-  struct StrashKeyHash {
-    std::size_t operator()(const StrashKey& k) const noexcept {
-      // 64-bit mix of the three raw signals (FNV-style with golden-ratio
-      // avalanche); collision handling is the map's job.
-      std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-      for (const std::uint64_t v :
-           {std::uint64_t{k.a}, std::uint64_t{k.b}, std::uint64_t{k.c}}) {
-        h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
+  /// Strash key: the three fanins' raw signals, sorted (Ω.C).
+  using StrashKey = std::array<std::uint32_t, 3>;
+
+  [[nodiscard]] static StrashKey strash_key(const std::array<Signal, 3>& f);
+  /// Slot holding the gate with key `k`, or the empty slot ending its
+  /// probe sequence. Requires a non-empty table.
+  [[nodiscard]] std::size_t strash_slot(const StrashKey& k) const;
+  /// Re-inserts every gate into a table of `capacity` slots (a power of
+  /// two).
+  void strash_rehash(std::size_t capacity);
 
   std::vector<Node> nodes_;
   std::vector<node> pis_;
   std::vector<Signal> pos_;
   std::vector<std::string> pi_names_;
   std::vector<std::string> po_names_;
-  std::unordered_map<StrashKey, node, StrashKeyHash> strash_;
+  /// Structural hash table: open addressing with linear probing, a
+  /// power-of-two number of slots, load ≤ ½. A slot holds a gate's node
+  /// id (0 = empty: node 0 is the constant, never a gate); the key is
+  /// re-derived from the gate's fanins. Nodes are append-only, so there
+  /// are no deletions and no tombstones.
+  std::vector<node> strash_;
   std::uint32_t num_gates_ = 0;
   std::uint64_t strash_hits_ = 0;
 };

@@ -1,53 +1,36 @@
 #include "mig/rewriting.hpp"
 
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "mig/algebra.hpp"
 #include "mig/cleanup.hpp"
 #include "mig/views.hpp"
+#include "util/metrics.hpp"
+#include "util/trace.hpp"
 
 namespace plim::mig {
 
 namespace {
 
-/// Nodes in the transitive fanin of any PO (plus constant and PIs).
-std::vector<bool> reachable_flags(const Mig& src) {
-  std::vector<bool> reach(src.size(), false);
-  reach[0] = true;
-  src.foreach_pi([&](node n) { reach[n] = true; });
-  std::vector<node> stack;
-  src.foreach_po([&](Signal f, std::uint32_t) {
-    if (!reach[f.index()]) {
-      reach[f.index()] = true;
-      stack.push_back(f.index());
-    }
-  });
-  while (!stack.empty()) {
-    const node n = stack.back();
-    stack.pop_back();
-    if (!src.is_gate(n)) {
-      continue;
-    }
-    for (const auto f : src.fanins(n)) {
-      if (!reach[f.index()]) {
-        reach[f.index()] = true;
-        stack.push_back(f.index());
-      }
-    }
-  }
-  return reach;
-}
+/// Work tallies of the reconstruction passes; rewrite_for_plim publishes
+/// them to the metrics registry once per call.
+struct PassTally {
+  std::uint64_t passes = 0;       ///< reconstruction passes run
+  std::uint64_t nodes_built = 0;  ///< gates created by passes and rebuilds
+  std::uint64_t compactions = 0;  ///< trailing compactions that rebuilt
+};
 
 /// Shared reconstruction skeleton: maps PIs, walks reachable gates in
 /// topological order calling `gate_fn(n, a, b, c, expendable)` for the
 /// mapped fanins, then re-creates the POs. `gate_fn` returns the dest
 /// signal implementing the source gate's function.
 template <typename GateFn>
-Mig reconstruct(const Mig& src, GateFn&& gate_fn) {
-  const FanoutView fanout(src);
-  const auto reach = reachable_flags(src);
+Mig reconstruct(const Mig& src, const FanoutView& fanout,
+                const std::vector<bool>& reach, GateFn&& gate_fn) {
   Mig dest;
+  dest.reserve(src.size());
   std::vector<Signal> map(src.size(), dest.get_constant(false));
   src.foreach_pi(
       [&](node n) { map[n] = dest.create_pi(src.pi_name(src.pi_index(n))); });
@@ -71,6 +54,27 @@ Mig reconstruct(const Mig& src, GateFn&& gate_fn) {
   return dest;
 }
 
+template <typename GateFn>
+Mig reconstruct(const Mig& src, GateFn&& gate_fn) {
+  return reconstruct(src, FanoutView(src), reachable_nodes(src),
+                     std::forward<GateFn>(gate_fn));
+}
+
+/// A pass's trailing compaction. `dest` comes from `reconstruct`, so its
+/// PIs lead and the compaction rebuilds exactly when the pass left a
+/// gate dangling; otherwise `dest` is returned untouched.
+Mig compact(Mig&& dest, PassTally& tally) {
+  const auto gates = dest.num_gates();
+  ++tally.passes;
+  tally.nodes_built += gates;
+  auto out = cleanup_dangling(std::move(dest));
+  if (out.num_gates() != gates) {
+    ++tally.compactions;
+    tally.nodes_built += out.num_gates();
+  }
+  return out;
+}
+
 /// Explicit negations needed to translate one gate into RM3 instructions,
 /// as a function of k = number of complemented non-constant fanins:
 /// exactly one complemented fanin is free (operand B), a constant fanin
@@ -86,9 +90,7 @@ int negation_cost(unsigned k, bool has_constant_fanin) {
   return has_constant_fanin ? 0 : 1;
 }
 
-}  // namespace
-
-Mig pass_size(const Mig& src) {
+Mig size_pass(const Mig& src, PassTally& tally) {
   auto dest = reconstruct(
       src, [](Mig& d, node, Signal a, Signal b, Signal c,
               const std::array<bool, 3>& expendable) {
@@ -98,10 +100,10 @@ Mig pass_size(const Mig& src) {
         }
         return d.create_maj(a, b, c);
       });
-  return cleanup_dangling(dest);
+  return compact(std::move(dest), tally);
 }
 
-Mig pass_reshape(const Mig& src) {
+Mig reshape_pass(const Mig& src, PassTally& tally) {
   auto dest = reconstruct(
       src, [](Mig& d, node, Signal a, Signal b, Signal c,
               const std::array<bool, 3>& expendable) {
@@ -110,12 +112,12 @@ Mig pass_reshape(const Mig& src) {
         }
         return d.create_maj(a, b, c);
       });
-  return cleanup_dangling(dest);
+  return compact(std::move(dest), tally);
 }
 
-Mig pass_inverters(const Mig& src, bool conditional) {
+Mig inverters_pass(const Mig& src, bool conditional, PassTally& tally) {
   const FanoutView fanout(src);
-  const auto reach = reachable_flags(src);
+  const auto reach = reachable_nodes(src);
 
   // Per-node PO reference complement tallies (for the profitability
   // estimate: flipping a node toggles every referencing PO edge).
@@ -198,14 +200,32 @@ Mig pass_inverters(const Mig& src, bool conditional) {
   });
 
   auto dest = reconstruct(
-      src, [&](Mig& d, node n, Signal a, Signal b, Signal c,
-               const std::array<bool, 3>&) {
+      src, fanout, reach,
+      [&](Mig& d, node n, Signal a, Signal b, Signal c,
+          const std::array<bool, 3>&) {
         if (flip[n]) {
           return !d.create_maj(!a, !b, !c);
         }
         return d.create_maj(a, b, c);
       });
-  return cleanup_dangling(dest);
+  return compact(std::move(dest), tally);
+}
+
+}  // namespace
+
+Mig pass_size(const Mig& src) {
+  PassTally tally;
+  return size_pass(src, tally);
+}
+
+Mig pass_reshape(const Mig& src) {
+  PassTally tally;
+  return reshape_pass(src, tally);
+}
+
+Mig pass_inverters(const Mig& src, bool conditional) {
+  PassTally tally;
+  return inverters_pass(src, conditional, tally);
 }
 
 std::uint32_t count_multi_complement(const Mig& mig) {
@@ -302,7 +322,8 @@ Mig pass_depth(const Mig& src) {
         ensure_levels(d);
         return plain;
       });
-  return cleanup_dangling(dest);
+  PassTally tally;
+  return compact(std::move(dest), tally);
 }
 
 }  // namespace
@@ -315,11 +336,11 @@ Mig rewrite_depth(const Mig& mig, unsigned effort, RewriteStats* stats) {
     stats->multi_complement_before = count_multi_complement(cur);
   }
   for (unsigned cycle = 0; cycle < effort; ++cycle) {
-    const auto next = pass_depth(cur);
+    auto next = pass_depth(cur);
     if (next.depth() >= cur.depth() && next.num_gates() >= cur.num_gates()) {
       break;  // converged
     }
-    cur = next;
+    cur = std::move(next);
   }
   if (stats != nullptr) {
     stats->gates_after = cur.num_gates();
@@ -337,20 +358,38 @@ Mig rewrite_for_plim(const Mig& mig, const RewriteOptions& opts,
     stats->depth_before = cur.depth();
     stats->multi_complement_before = count_multi_complement(cur);
   }
+  PassTally tally;
+  // One trace span per pass, named by its rule group.
+  const auto run_pass = [&](const char* args, auto&& pass) {
+    const util::TraceSpan span("mig.rewrite.pass", args);
+    cur = pass(cur, tally);
+  };
   for (unsigned cycle = 0; cycle < opts.effort; ++cycle) {
     if (opts.size_rules) {
-      cur = pass_size(cur);  // Ω.M; Ω.D_R→L
+      run_pass(R"("pass":"size")", size_pass);  // Ω.M; Ω.D_R→L
     }
     if (opts.reshaping) {
-      cur = pass_reshape(cur);  // Ω.A; Ω.C
+      run_pass(R"("pass":"reshape")", reshape_pass);  // Ω.A; Ω.C
     }
     if (opts.size_rules) {
-      cur = pass_size(cur);  // Ω.M; Ω.D_R→L
+      run_pass(R"("pass":"size")", size_pass);  // Ω.M; Ω.D_R→L
     }
     if (opts.inverter_rules) {
-      cur = pass_inverters(cur, /*conditional=*/true);   // Ω.I_R→L(1-3)
-      cur = pass_inverters(cur, /*conditional=*/false);  // Ω.I_R→L
+      run_pass(R"("pass":"inverters_conditional")",  // Ω.I_R→L(1-3)
+               [](const Mig& m, PassTally& t) {
+                 return inverters_pass(m, /*conditional=*/true, t);
+               });
+      run_pass(R"("pass":"inverters")",  // Ω.I_R→L
+               [](const Mig& m, PassTally& t) {
+                 return inverters_pass(m, /*conditional=*/false, t);
+               });
     }
+  }
+  auto& registry = util::MetricsRegistry::global();
+  if (registry.enabled()) {
+    registry.counter_add("mig.rewrite.passes", tally.passes);
+    registry.counter_add("mig.rewrite.nodes_built", tally.nodes_built);
+    registry.counter_add("mig.rewrite.compactions", tally.compactions);
   }
   if (stats != nullptr) {
     stats->gates_after = cur.num_gates();

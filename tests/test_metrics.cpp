@@ -4,7 +4,9 @@
 #include <thread>
 #include <vector>
 
+#include "circuits/epfl.hpp"
 #include "driver/driver.hpp"
+#include "mig/rewriting.hpp"
 #include "util/metrics.hpp"
 #include "util/stats.hpp"
 #include "util/trace.hpp"
@@ -166,6 +168,29 @@ TEST_F(MetricsTest, SchedulerFeedsRegistry) {
             outcome.stats.schedule->refine_moves_kept);
   EXPECT_EQ(outcome.stats.metrics.refine_moves_screened,
             outcome.stats.schedule->refine_moves_screened);
+}
+
+TEST_F(MetricsTest, RewriteFeedsRegistry) {
+  auto& reg = util::MetricsRegistry::global();
+  reg.set_enabled(true);
+  const auto network = circuits::build_benchmark("int2float");
+  mig::RewriteStats stats;
+  (void)mig::rewrite_for_plim(network, {}, &stats);
+  const auto passes = reg.counter("mig.rewrite.passes");
+  const auto nodes_built = reg.counter("mig.rewrite.nodes_built");
+  const auto compactions = reg.counter("mig.rewrite.compactions");
+  // Algorithm 1 at the default effort 4: four cycles of five passes.
+  EXPECT_EQ(passes, 20u);
+  // Each pass built at least the network it returned.
+  EXPECT_GE(nodes_built, passes * stats.gates_after);
+  // Passes that leave nothing dangling skip their compaction rebuild.
+  EXPECT_GE(compactions, 1u);
+  EXPECT_LT(compactions, passes);
+  // The counters are work counts: a second run adds exactly as much.
+  (void)mig::rewrite_for_plim(network);
+  EXPECT_EQ(reg.counter("mig.rewrite.passes"), 2 * passes);
+  EXPECT_EQ(reg.counter("mig.rewrite.nodes_built"), 2 * nodes_built);
+  EXPECT_EQ(reg.counter("mig.rewrite.compactions"), 2 * compactions);
 }
 
 }  // namespace

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "mig/cleanup.hpp"
+#include "mig/random.hpp"
 #include "mig/simulation.hpp"
 #include "mig/views.hpp"
+#include "util/rng.hpp"
 
 namespace plim::mig {
 namespace {
@@ -109,6 +115,79 @@ TEST(Mig, FindMajMatchesWithoutCreating) {
   EXPECT_EQ(m.num_gates(), 1u);
 }
 
+/// Random fanin triple over the first `bound` nodes.
+std::array<Signal, 3> random_triple(std::uint32_t bound, util::Rng& rng) {
+  std::array<Signal, 3> t{};
+  for (auto& s : t) {
+    s = Signal(static_cast<node>(rng.below(bound)), rng.below(2) == 1);
+  }
+  return t;
+}
+
+TEST(Mig, StrashSurvivesManyRehashes) {
+  Mig m;
+  for (int i = 0; i < 64; ++i) {
+    m.create_pi();
+  }
+  util::Rng rng(7);
+  std::vector<std::array<Signal, 3>> created;
+  std::vector<Signal> result;
+  while (m.num_gates() < 100'000) {
+    const auto t = random_triple(m.size(), rng);
+    const auto before = m.size();
+    const auto g = m.create_maj(t[0], t[1], t[2]);
+    if (m.size() > before) {
+      created.push_back(t);
+      result.push_back(g);
+    }
+  }
+  const auto size = m.size();
+  const auto hits = m.strash_hits();
+  for (std::size_t i = 0; i < created.size(); ++i) {
+    const auto& t = created[i];
+    // A rotated operand order must hit the same gate (Ω.C).
+    ASSERT_EQ(m.create_maj(t[2], t[0], t[1]), result[i]) << "gate " << i;
+  }
+  EXPECT_EQ(m.size(), size);
+  EXPECT_EQ(m.strash_hits(), hits + created.size());
+}
+
+TEST(Mig, FindMajAgreesWithCreateMajAndNeverMutates) {
+  Mig fresh;
+  const auto k0 = fresh.get_constant(false);
+  EXPECT_EQ(fresh.find_maj(k0, k0, !k0), k0);  // empty table, trivial fold
+  const auto a = fresh.create_pi();
+  const auto b = fresh.create_pi();
+  EXPECT_FALSE(fresh.find_maj(a, b, k0).has_value());
+  EXPECT_EQ(fresh.size(), 3u);
+
+  Mig m;
+  for (int i = 0; i < 8; ++i) {
+    m.create_pi();
+  }
+  util::Rng rng(11);
+  std::uint32_t found_count = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    // A small node pool, so many triples fold or hit existing gates.
+    const auto t = random_triple(std::min(m.size(), 32u), rng);
+    const auto size = m.size();
+    const auto hits = m.strash_hits();
+    const auto found = m.find_maj(t[0], t[1], t[2]);
+    ASSERT_EQ(m.size(), size);
+    ASSERT_EQ(m.strash_hits(), hits);
+    const auto g = m.create_maj(t[0], t[1], t[2]);
+    if (found) {
+      ASSERT_EQ(g, *found) << "triple " << i;
+      ASSERT_EQ(m.size(), size);
+      ++found_count;
+    } else {
+      ASSERT_EQ(m.size(), size + 1) << "triple " << i;
+    }
+  }
+  EXPECT_GT(found_count, 1000u);
+  EXPECT_GT(m.num_gates(), 1000u);
+}
+
 TEST(Mig, AndOrUseConstantZeroFaninOnly) {
   // The paper's starting networks "only have the constant 0 child": AND
   // is ⟨ab0⟩ and OR is the De Morgan form ¬⟨āb̄0⟩ with a complemented
@@ -202,6 +281,32 @@ TEST(FanoutView, CountsParentsAndPoRefs) {
   EXPECT_EQ(fv.fanout_count(a.index()), 1u);
 }
 
+TEST(FanoutView, MatchesBruteForceOnRandomNetworks) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const auto m = random_mig({8, 300, 12, 30, 30}, seed);
+    const FanoutView fv(m);
+    m.foreach_node([&](node n) {
+      std::vector<node> parents;
+      m.foreach_gate([&](node g) {
+        const auto& f = m.fanins(g);
+        if (std::any_of(f.begin(), f.end(),
+                        [&](Signal s) { return s.index() == n; })) {
+          parents.push_back(g);
+        }
+      });
+      std::uint32_t po_refs = 0;
+      m.foreach_po(
+          [&](Signal f, std::uint32_t) { po_refs += f.index() == n ? 1 : 0; });
+      const auto got = fv.parents(n);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), parents.begin(),
+                             parents.end()))
+          << "seed " << seed << " node " << n;
+      EXPECT_EQ(fv.num_po_refs(n), po_refs);
+      EXPECT_EQ(fv.fanout_count(n), parents.size() + po_refs);
+    });
+  }
+}
+
 TEST(Cleanup, RemovesDanglingGates) {
   Mig m;
   const auto a = m.create_pi("a");
@@ -238,6 +343,41 @@ TEST(Cleanup, PreservesComplementedAndConstantPos) {
     const std::vector<bool> in{(v & 1) != 0, (v & 2) != 0};
     EXPECT_EQ(simulate_vector(cleaned, in),
               (std::vector<bool>{!((v & 1) && (v & 2)), true, (v & 1) != 0}));
+  }
+}
+
+TEST(Cleanup, CompactNetworkIsReturnedUnchanged) {
+  Mig m;
+  const auto a = m.create_pi("a");
+  const auto b = m.create_pi("b");
+  const auto g = m.create_and(a, b);
+  EXPECT_EQ(m.create_and(b, a), g);  // one strash hit
+  m.create_po(m.create_or(g, a), "f");
+  const auto cleaned = cleanup_dangling(m);
+  // Nothing dangles, so no rebuild: the copy keeps the strash history.
+  EXPECT_EQ(cleaned.strash_hits(), 1u);
+  ASSERT_EQ(cleaned.size(), m.size());
+  m.foreach_gate(
+      [&](node n) { EXPECT_EQ(cleaned.fanins(n), m.fanins(n)); });
+}
+
+TEST(Cleanup, LeadsWithPisCreatedAfterGates) {
+  Mig m;
+  const auto a = m.create_pi("a");
+  const auto b = m.create_pi("b");
+  const auto g = m.create_and(a, b);
+  const auto c = m.create_pi("c");  // node 4, after a gate
+  m.create_po(m.create_or(g, c), "f");
+  const auto cleaned = cleanup_dangling(m);
+  ASSERT_EQ(cleaned.num_pis(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(cleaned.pi_at(i), i + 1);
+  }
+  EXPECT_EQ(cleaned.pi_name(2), "c");
+  EXPECT_EQ(cleaned.num_gates(), m.num_gates());
+  for (unsigned v = 0; v < 8; ++v) {
+    const std::vector<bool> in{(v & 1) != 0, (v & 2) != 0, (v & 4) != 0};
+    EXPECT_EQ(simulate_vector(m, in), simulate_vector(cleaned, in));
   }
 }
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "circuits/epfl.hpp"
 #include "expr/parser.hpp"
 #include "mig/random.hpp"
 #include "mig/simulation.hpp"
@@ -186,6 +193,67 @@ TEST(Rewrite, HandlesConstantAndPassThroughOutputs) {
   m.create_po(!a, "not");
   const auto r = rewrite_for_plim(m);
   EXPECT_TRUE(tt_equivalent(m, r));
+}
+
+/// FNV-1a-64 over the words of a rewritten network: every gate's fanins
+/// (raw signals, so node ids and creation order count), every PO, the
+/// gate count and the depth.
+std::uint64_t network_fingerprint(const Mig& m) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint32_t word) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  m.foreach_gate([&](node n) {
+    for (const auto f : m.fanins(n)) {
+      mix(f.raw());
+    }
+  });
+  m.foreach_po([&](Signal f, std::uint32_t) { mix(f.raw()); });
+  mix(m.num_gates());
+  mix(m.depth());
+  return h;
+}
+
+/// Pins the networks Algorithm 1 builds: one fingerprint per EPFL
+/// circuit and topological shuffle seed, after rewrite_for_plim at the
+/// paper's effort 4. Speed-ups of the MIG core must leave every network
+/// byte-identical. Regenerate from the build directory with
+///   PLIM_REGEN_GOLDEN=1 ./test_rewriting --gtest_filter=Golden.*
+/// and commit the diff.
+TEST(Golden, RewriteFingerprintsMatch) {
+  std::string listing;
+  for (const auto& spec : circuits::epfl_suite()) {
+    const auto original = spec.build();
+    for (const std::uint64_t seed : {1u, 2u}) {
+      const auto r = rewrite_for_plim(shuffle_topological(original, seed));
+      char line[160];
+      std::snprintf(
+          line, sizeof line, "%s seed=%llu gates=%u depth=%u %016llx\n",
+          spec.name.c_str(), static_cast<unsigned long long>(seed),
+          r.num_gates(), r.depth(),
+          static_cast<unsigned long long>(network_fingerprint(r)));
+      listing += line;
+    }
+  }
+
+  const std::string golden_path =
+      std::string(PLIM_SOURCE_DIR) + "/tests/golden/rewrite_fingerprints.txt";
+  if (std::getenv("PLIM_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << listing;
+    GTEST_SKIP() << "regenerated " << golden_path;
+  }
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing " << golden_path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_EQ(listing, buffer.str())
+      << "rewritten networks drifted — if intentional, regenerate with "
+         "PLIM_REGEN_GOLDEN=1 (see test comment)";
 }
 
 }  // namespace

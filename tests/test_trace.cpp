@@ -138,10 +138,14 @@ TEST_F(TraceTest, DriverEmitsOneSpanPerPhase) {
   ASSERT_TRUE(outcome.ok()) << outcome.error_summary();
 
   std::map<std::string, int> begins;
+  std::map<std::string, int> rewrite_passes;
   int machine_pids = 0;
   for (const auto& e : util::Tracer::global().snapshot()) {
     if (e.ph == 'B') {
       ++begins[e.name];
+    }
+    if (e.ph == 'B' && e.name == "mig.rewrite.pass") {
+      ++rewrite_passes[e.args_json];
     }
     if (e.ph == 'M' && e.name == "process_name" && e.pid >= 2) {
       ++machine_pids;
@@ -153,6 +157,12 @@ TEST_F(TraceTest, DriverEmitsOneSpanPerPhase) {
     EXPECT_EQ(begins[phase], 1) << phase;
   }
   EXPECT_GE(begins["refine.pass"], 1);
+  // Algorithm 1 at the default effort 4: four cycles of five passes.
+  EXPECT_EQ(begins["mig.rewrite.pass"], 20);
+  EXPECT_EQ(rewrite_passes[R"("pass":"size")"], 8);
+  EXPECT_EQ(rewrite_passes[R"("pass":"reshape")"], 4);
+  EXPECT_EQ(rewrite_passes[R"("pass":"inverters_conditional")"], 4);
+  EXPECT_EQ(rewrite_passes[R"("pass":"inverters")"], 4);
   // Decoupled execution rendered at least one per-bank cycle timeline.
   EXPECT_GE(machine_pids, 1);
 
