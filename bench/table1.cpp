@@ -4,11 +4,13 @@
 /// rewriting + index-order translation, and rewriting + smart compilation
 /// — plus the improvement percentages and the Σ row.
 ///
-/// Every compiled program is additionally verified end-to-end against
-/// bit-parallel MIG simulation on the PLiM machine model (disable with
-/// --no-verify). A second table compares the measured improvements with
-/// the numbers the paper reports (absolute counts differ because the
-/// original EPFL netlists are re-synthesized offline; see DESIGN.md).
+/// Each column is one plim::Driver configuration, so every compiled
+/// program is verified end-to-end against bit-parallel MIG simulation of
+/// the *original* network on the PLiM machine model — which also covers
+/// the rewriting (disable with --no-verify). A second table compares the
+/// measured improvements with the numbers the paper reports (absolute
+/// counts differ because the original EPFL netlists are re-synthesized
+/// offline; see DESIGN.md).
 ///
 /// Usage: table1 [--benchmark <name>] [--effort N] [--no-verify]
 
@@ -18,10 +20,7 @@
 #include <string>
 
 #include "circuits/epfl.hpp"
-#include "core/pipeline.hpp"
-#include "core/verify.hpp"
-#include "mig/simulation.hpp"
-#include "util/rng.hpp"
+#include "driver/driver.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -34,6 +33,16 @@ struct Row {
 };
 
 std::string pct(double improvement) { return plim::util::percent(improvement); }
+
+/// One Table-1 column: rewriting on (`effort` > 0) or off, smart
+/// candidate selection on or off.
+plim::Options column(unsigned effort, bool smart_candidates, bool verify) {
+  plim::Options options;
+  options.rewrite.effort = effort;
+  options.compile.smart_candidates = smart_candidates;
+  options.verify.enabled = verify;
+  return options;
+}
 
 }  // namespace
 
@@ -55,8 +64,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  plim::mig::RewriteOptions ropts;
-  ropts.effort = effort;
+  const plim::Driver naive_driver(column(0, false, verify));
+  const plim::Driver rw_driver(column(effort, false, verify));
+  const plim::Driver cmp_driver(column(effort, true, verify));
 
   plim::util::TablePrinter table(
       {"Benchmark", "PI/PO", "#N", "#I", "#R", "#N", "#I", "impr.", "#R",
@@ -79,45 +89,27 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    using plim::core::PipelineConfig;
-    const auto naive = run_pipeline(mig, PipelineConfig::naive, ropts);
-    const auto rw = run_pipeline(mig, PipelineConfig::rewriting, ropts);
-    const auto cmp =
-        run_pipeline(mig, PipelineConfig::rewriting_and_compilation, ropts);
-
-    if (verify) {
-      for (const auto* result : {&naive, &rw, &cmp}) {
-        // Verify against the network that was actually compiled: the
-        // rewritten MIG is itself checked against the original by random
-        // co-simulation below.
-        const auto& compiled_for =
-            result == &naive ? mig : plim::mig::rewrite_for_plim(mig, ropts);
-        const auto v = plim::core::verify_program(
-            compiled_for, result->compiled.program, 2, 42);
-        if (!v.ok) {
-          std::cerr << spec.name << ": VERIFICATION FAILED: " << v.message
-                    << '\n';
-          return 1;
-        }
-      }
-      plim::util::Rng rng(7);
-      const auto rewritten = plim::mig::rewrite_for_plim(mig, ropts);
-      if (!plim::mig::random_equivalence_check(mig, rewritten, 8, rng)) {
-        std::cerr << spec.name << ": rewriting changed the function!\n";
+    const auto request = plim::CompileRequest::from_mig(mig, spec.name);
+    const auto naive = naive_driver.run(request);
+    const auto rw = rw_driver.run(request);
+    const auto cmp = cmp_driver.run(request);
+    for (const auto* outcome : {&naive, &rw, &cmp}) {
+      if (!outcome->ok()) {
+        std::cerr << spec.name << ": " << outcome->error_summary() << '\n';
         return 1;
       }
     }
 
     Row row;
     row.name = spec.name;
-    row.n_naive = naive.mig_gates;
-    row.i_naive = naive.compiled.stats.num_instructions;
-    row.r_naive = naive.compiled.stats.num_rrams;
-    row.n_rw = rw.mig_gates;
-    row.i_rw = rw.compiled.stats.num_instructions;
-    row.r_rw = rw.compiled.stats.num_rrams;
-    row.i_cmp = cmp.compiled.stats.num_instructions;
-    row.r_cmp = cmp.compiled.stats.num_rrams;
+    row.n_naive = naive.stats.gates;
+    row.i_naive = naive.stats.compile.num_instructions;
+    row.r_naive = naive.stats.compile.num_rrams;
+    row.n_rw = rw.stats.gates;
+    row.i_rw = rw.stats.compile.num_instructions;
+    row.r_rw = rw.stats.compile.num_rrams;
+    row.i_cmp = cmp.stats.compile.num_instructions;
+    row.r_cmp = cmp.stats.compile.num_rrams;
 
     const auto impr = [](std::uint32_t before, std::uint32_t after) {
       return plim::util::improvement(before, after);

@@ -1,6 +1,7 @@
 #include "arch/text.hpp"
 
 #include <array>
+#include <charconv>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -66,22 +67,30 @@ Operand parse_operand(const std::string& token,
     return Operand::constant(true);
   }
   if (token.size() > 2 && token[0] == '@' && token[1] == 'X') {
-    unsigned long cell = 0;
-    try {
-      cell = std::stoul(token.substr(2));
-    } catch (const std::logic_error&) {
-      throw std::runtime_error("malformed RRAM cell '" + token + "'");
-    }
+    const auto cell = parse_u32(token.substr(2));
     if (cell == 0) {
       throw std::runtime_error("RRAM cells are 1-based in text form");
     }
-    return Operand::rram(static_cast<std::uint32_t>(cell - 1));
+    return Operand::rram(cell - 1);
   }
   const auto it = inputs.find(token);
   if (it == inputs.end()) {
     throw std::runtime_error("unknown operand '" + token + "'");
   }
   return Operand::input(it->second);
+}
+
+std::uint32_t parse_u32(const std::string& token) {
+  std::uint32_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::runtime_error("number out of 32-bit range: '" + token + "'");
+  }
+  if (ec != std::errc() || ptr != end) {
+    throw std::runtime_error("malformed number '" + token + "'");
+  }
+  return value;
 }
 
 std::string trim(const std::string& s) {
@@ -93,9 +102,7 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-namespace {
-
-Program parse_program_impl(const std::string& text) {
+Program parse_program(const std::string& text) {
   Program p;
   std::map<std::string, std::uint32_t> inputs;
   std::istringstream is(text);
@@ -128,8 +135,7 @@ Program parse_program_impl(const std::string& text) {
       if (cell.size() < 3 || cell[0] != '@' || cell[1] != 'X') {
         throw std::runtime_error("malformed output declaration: " + line);
       }
-      p.add_output(name,
-                   static_cast<std::uint32_t>(std::stoul(cell.substr(2)) - 1));
+      p.add_output(name, parse_operand(cell, inputs).address());
       continue;
     }
     if (line[0] == '#') {
@@ -161,19 +167,6 @@ Program parse_program_impl(const std::string& text) {
     p.append(a, b, z.address());
   }
   return p;
-}
-
-}  // namespace
-
-Program parse_program(const std::string& text) {
-  try {
-    return parse_program_impl(text);
-  } catch (const std::logic_error& e) {
-    // std::stoul reports malformed/overflowing numbers as logic_errors;
-    // translate to the documented std::runtime_error contract.
-    throw std::runtime_error(std::string("malformed number in program: ") +
-                             e.what());
-  }
 }
 
 }  // namespace plim::arch

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -37,6 +38,11 @@ void print_operand(std::ostream& os, Operand op,
 [[nodiscard]] Operand parse_operand(
     const std::string& token,
     const std::map<std::string, std::uint32_t>& inputs);
+
+/// Parses a decimal listing number (digits only) into 32 bits. Throws
+/// std::runtime_error when `token` is malformed or exceeds UINT32_MAX —
+/// a listing number never wraps around.
+[[nodiscard]] std::uint32_t parse_u32(const std::string& token);
 
 /// Strips leading/trailing listing whitespace (spaces, tabs, '\r').
 [[nodiscard]] std::string trim(const std::string& s);

@@ -17,7 +17,6 @@
 #include "sched/scheduler.hpp"
 #include "sched/verify.hpp"
 #include "serve/cache.hpp"
-#include "serve/mpmc_queue.hpp"
 #include "serve/structural_hash.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -411,14 +410,16 @@ std::vector<CompileOutcome> Driver::run_batch(
 
   // Deterministic by construction: outcome i is always computed from
   // request i, whatever worker claims it — only the claiming order
-  // varies between runs, never the result placement. The worklist flows
-  // through the same bounded MPMC queue the compile server dispatches
-  // on, so batch mode exercises the service's conduit.
-  serve::MpmcQueue<std::size_t> queue(
-      std::min<std::size_t>(requests.size(), 1024));
+  // varies between runs, never the result placement. Workers claim
+  // request indices from one shared counter; joining them publishes
+  // every outcome.
+  std::atomic<std::size_t> next{0};
   const auto work = [&]() {
-    std::size_t i = 0;
-    while (queue.pop(i)) {
+    for (;;) {
+      const auto i = next++;
+      if (i >= requests.size()) {
+        return;
+      }
       try {
         outcomes[i] = cache != nullptr ? run_cached(requests[i], *cache).outcome
                                        : run(requests[i]);
@@ -436,10 +437,6 @@ std::vector<CompileOutcome> Driver::run_batch(
   for (unsigned t = 0; t < workers; ++t) {
     pool.emplace_back(work);
   }
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    queue.push(i);
-  }
-  queue.close();
   for (auto& thread : pool) {
     thread.join();
   }

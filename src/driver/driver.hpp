@@ -87,12 +87,12 @@ class Driver {
                                          serve::CompileCache& cache) const;
 
   /// Runs every request and returns the outcomes in request order.
-  /// `threads` > 1 fans the worklist over that many worker threads fed
-  /// by a bounded MPMC work queue (capped at the worklist size); each
-  /// request still fails or succeeds independently. With `cache`,
-  /// requests route through run_cached, so manifests with duplicate
-  /// (circuit, options) pairs compile once — outcome *content* is
-  /// unchanged (a hit is byte-identical to a fresh compile modulo
+  /// `threads` > 1 fans the worklist over that many worker threads
+  /// (capped at the worklist size), each claiming the next unclaimed
+  /// request; each request still fails or succeeds independently. With
+  /// `cache`, requests route through run_cached, so manifests with
+  /// duplicate (circuit, options) pairs compile once — outcome *content*
+  /// is unchanged (a hit is byte-identical to a fresh compile modulo
   /// wall-clock), preserving the byte-determinism contract across
   /// thread counts and cache states.
   [[nodiscard]] std::vector<CompileOutcome> run_batch(

@@ -4,11 +4,7 @@
 
 namespace plim {
 
-namespace {
-
-constexpr std::uint32_t kMaxBanks = 1024;
-
-}  // namespace
+using sched::kMaxBanks;
 
 Options Options::textbook_naive() {
   Options opts;

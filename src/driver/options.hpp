@@ -22,15 +22,15 @@ namespace plim {
 enum class PlacementMode { post, compiler };
 
 /// The single options surface of the plim::Driver facade. One `banks`
-/// knob drives both compile-time placement and scheduling — the old
-/// `CompileOptions::placement_banks` / `ScheduleOptions::banks` /
-/// `run_pipeline(schedule_banks)` trio, whose silent-override and
-/// mismatch foot-guns `validate()` now rejects with actionable
-/// diagnostics instead.
+/// knob drives both compile-time placement and scheduling, so the
+/// layer-level `CompileOptions::placement_banks` and
+/// `ScheduleOptions::banks` cannot disagree; `validate()` rejects
+/// contradictory settings with actionable diagnostics.
 struct Options {
   /// PLiM banks the program is scheduled onto. 0 compiles the serial
   /// program only (no scheduling stage); 1 degenerates to the serial
-  /// program modulo cell renaming. Hard API bound: 1024.
+  /// program modulo cell renaming. Hard API bound: sched::kMaxBanks
+  /// (1024).
   std::uint32_t banks = 0;
 
   /// Bank-placement authority when `banks` > 0 (see PlacementMode).

@@ -13,6 +13,10 @@ class JsonWriter;
 
 namespace plim::sched {
 
+/// Most banks a program may target: the hard bound Options::validate()
+/// enforces and the listing parser accepts.
+inline constexpr std::uint32_t kMaxBanks = 1024;
+
 /// One instruction slot of a parallel step: which bank executes it and
 /// whether it is (half of) a cross-bank value transfer. Transfer slots are
 /// the only instructions allowed to read RRAM cells outside their own

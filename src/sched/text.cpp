@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +14,14 @@
 
 namespace plim::sched {
 
+namespace {
+
+/// Sync phase letters: f(etch)=0, a=read-A=1, b=read-B=2, w(rite)=3.
+constexpr std::string_view kPhaseLetters = "fabw";
+
+}  // namespace
+
+using arch::parse_u32;
 using arch::trim;
 
 void write_text(const ParallelProgram& program, std::ostream& os) {
@@ -55,11 +64,8 @@ void write_text(const ParallelProgram& program, std::ostream& os) {
     }
     os << '\n';
   }
-  // Phase letters: f(etch)=0, a=read-A=1, b=read-B=2, w(rite)=3. The
-  // suffix pins the sync endpoint to a phase of the op's 4-phase cycle;
-  // tokens without a suffix parse as the legacy full-instruction edge
-  // (signal at write, wait before fetch).
-  constexpr const char* kPhaseLetters = "fabw";
+  // The suffix pins the sync endpoint to a phase of the op's 4-phase
+  // cycle.
   for (std::uint32_t i = 0; i < program.sync_edges().size(); ++i) {
     const auto& e = program.sync_edges()[i];
     os << "# sync t" << (i + 1) << ": b" << e.from_bank << '@'
@@ -79,9 +85,7 @@ std::string to_text(const ParallelProgram& program) {
   return os.str();
 }
 
-namespace {
-
-ParallelProgram parse_parallel_impl(const std::string& text) {
+ParallelProgram parse_parallel_program(const std::string& text) {
   ParallelProgram p;
   std::map<std::string, std::uint32_t> inputs;
   bool saw_banks = false;
@@ -94,10 +98,15 @@ ParallelProgram parse_parallel_impl(const std::string& text) {
       continue;
     }
     if (line.rfind("# parallel banks ", 0) == 0) {
-      const auto banks =
-          static_cast<std::uint32_t>(std::stoul(line.substr(17)));
+      const auto banks = parse_u32(line.substr(17));
       if (banks == 0) {
         throw std::runtime_error("parallel program needs at least one bank");
+      }
+      if (banks > kMaxBanks) {
+        throw std::runtime_error("parallel program declares " +
+                                 std::to_string(banks) +
+                                 " banks; the maximum is " +
+                                 std::to_string(kMaxBanks));
       }
       p = ParallelProgram(banks);
       for (std::uint32_t b = 0; b < banks; ++b) {
@@ -110,8 +119,7 @@ ParallelProgram parse_parallel_impl(const std::string& text) {
       if (!saw_banks) {
         throw std::runtime_error("bus width before '# parallel banks'");
       }
-      const auto width =
-          static_cast<std::uint32_t>(std::stoul(line.substr(6)));
+      const auto width = parse_u32(line.substr(6));
       if (width == 0) {
         throw std::runtime_error("declared bus width must be positive");
       }
@@ -154,30 +162,27 @@ ParallelProgram parse_parallel_impl(const std::string& text) {
           range.compare(dots + 2, 2, "@X") != 0) {
         throw std::runtime_error("malformed bank range: " + line);
       }
-      const auto begin = std::stoul(range.substr(2, dots - 2));
-      const auto end = std::stoul(range.substr(dots + 4));
+      const auto begin = parse_u32(range.substr(2, dots - 2));
+      const auto end = parse_u32(range.substr(dots + 4));
       if (begin == 0 || end < begin) {
         throw std::runtime_error("malformed bank range: " + line);
       }
-      p.set_bank_range(bank, static_cast<std::uint32_t>(begin - 1),
-                       static_cast<std::uint32_t>(end));
-      highest_end = std::max(highest_end, static_cast<std::uint32_t>(end));
+      p.set_bank_range(bank, begin - 1, end);
+      highest_end = std::max(highest_end, end);
       continue;
     }
     if (line.rfind("# sync ", 0) == 0) {
       if (!saw_banks) {
         throw std::runtime_error("sync token before '# parallel banks'");
       }
-      // "t<id>: b<f>@<p>[.x] -> b<t>@<q>[.x]" (1-based stream
-      // positions; optional phase letter x in {f, a, b, w} = phases
-      // 0..3 — omitted means the legacy full-instruction edge:
-      // signal at write (w), wait before fetch (f)).
+      // "t<id>: b<f>@<p>.x -> b<t>@<q>.x" (1-based stream positions;
+      // phase letter x in {f, a, b, w} = phases 0..3).
       const auto rest = trim(line.substr(7));
       const auto colon = rest.find(':');
       if (rest.empty() || rest[0] != 't' || colon == std::string::npos) {
         throw std::runtime_error("malformed sync token: " + line);
       }
-      const auto id = std::stoul(rest.substr(1, colon - 1));
+      const auto id = parse_u32(rest.substr(1, colon - 1));
       if (id != p.sync_edges().size() + 1) {
         throw std::runtime_error(
             "unmatched sync token: expected t" +
@@ -189,36 +194,31 @@ ParallelProgram parse_parallel_impl(const std::string& text) {
         throw std::runtime_error(
             "unmatched sync token (missing signal -> wait pair): " + line);
       }
-      const auto endpoint = [&](std::string s, std::uint32_t default_phase) {
+      const auto endpoint = [&](std::string s) {
         s = trim(s);
         const auto at = s.find('@');
         if (s.size() < 4 || s[0] != 'b' || at == std::string::npos ||
-            at < 2 || at + 1 >= s.size()) {
+            at < 2) {
           throw std::runtime_error("malformed sync endpoint in line: " + line);
         }
-        const auto bank = std::stoul(s.substr(1, at - 1));
-        auto pos_text = s.substr(at + 1);
-        auto phase = default_phase;
-        if (const auto dot = pos_text.find('.'); dot != std::string::npos) {
-          const auto letter = pos_text.substr(dot + 1);
-          const std::string letters = "fabw";
-          const auto k = letters.find(letter);
-          if (letter.size() != 1 || k == std::string::npos) {
-            throw std::runtime_error("malformed sync phase (expected one of"
-                                     " .f .a .b .w) in line: " + line);
-          }
-          phase = static_cast<std::uint32_t>(k);
-          pos_text.resize(dot);
+        const auto dot = s.find('.', at);
+        const auto phase = dot == std::string::npos || dot + 2 != s.size()
+                               ? std::string::npos
+                               : kPhaseLetters.find(s.back());
+        if (phase == std::string::npos) {
+          throw std::runtime_error("malformed sync phase (expected one of"
+                                   " .f .a .b .w) in line: " + line);
         }
-        const auto pos = std::stoul(pos_text);
+        const auto bank = parse_u32(s.substr(1, at - 1));
+        const auto pos = parse_u32(s.substr(at + 1, dot - at - 1));
         if (pos == 0) {
           throw std::runtime_error("sync positions are 1-based: " + line);
         }
-        return std::make_tuple(static_cast<std::uint32_t>(bank),
-                               static_cast<std::uint32_t>(pos - 1), phase);
+        return std::make_tuple(bank, pos - 1,
+                               static_cast<std::uint32_t>(phase));
       };
-      const auto [fb, fp, fph] = endpoint(body.substr(0, arrow), 3);
-      const auto [tb, tp, tph] = endpoint(body.substr(arrow + 2), 0);
+      const auto [fb, fp, fph] = endpoint(body.substr(0, arrow));
+      const auto [tb, tp, tph] = endpoint(body.substr(arrow + 2));
       p.add_sync({fb, fp, tb, tp, fph, tph});
       continue;
     }
@@ -230,8 +230,7 @@ ParallelProgram parse_parallel_impl(const std::string& text) {
       if (cell.size() < 3 || cell.rfind("@X", 0) != 0) {
         throw std::runtime_error("malformed output declaration: " + line);
       }
-      p.add_output(name,
-                   static_cast<std::uint32_t>(std::stoul(cell.substr(2)) - 1));
+      p.add_output(name, arch::parse_operand(cell, inputs).address());
       continue;
     }
     if (line[0] == '#') {
@@ -271,7 +270,7 @@ ParallelProgram parse_parallel_impl(const std::string& text) {
       if (tag.empty()) {
         throw std::runtime_error("malformed bank tag in line: " + line);
       }
-      const auto bank = static_cast<std::uint32_t>(std::stoul(tag));
+      const auto bank = parse_u32(tag);
       std::string body = part.substr(slot_colon + 1);
       std::array<std::string, 3> tokens;
       std::size_t tpos = 0;
@@ -300,19 +299,6 @@ ParallelProgram parse_parallel_impl(const std::string& text) {
     throw std::runtime_error("invalid parallel program: " + err);
   }
   return p;
-}
-
-}  // namespace
-
-ParallelProgram parse_parallel_program(const std::string& text) {
-  try {
-    return parse_parallel_impl(text);
-  } catch (const std::logic_error& e) {
-    // std::stoul reports malformed/overflowing numbers as logic_errors;
-    // translate to the documented std::runtime_error contract.
-    throw std::runtime_error(
-        std::string("malformed number in parallel program: ") + e.what());
-  }
 }
 
 }  // namespace plim::sched

@@ -18,7 +18,7 @@ namespace plim::sched {
 ///   # bank 1 @X4..@X5
 ///   01: b0: 0, 1, @X1 | b1: 0, 1, @X4
 ///   02: b0: i1, 0, @X1 | b1*: @X1, 0, @X4
-///   # sync t1: b0@2 -> b1@2
+///   # sync t1: b0@2.w -> b1@2.a
 ///   # output f @X4
 ///
 /// The optional "# bus <k>" line declares the bounded inter-bank bus the
@@ -26,14 +26,15 @@ namespace plim::sched {
 /// Bank ranges are 1-based inclusive ("@X1..@X3" = cells 0..2); a bank
 /// without cells prints as "# bank <k> empty".
 ///
-/// "# sync t<id>: b<f>@<p> -> b<t>@<q>" lines carry the explicit
+/// "# sync t<id>: b<f>@<p>.<x> -> b<t>@<q>.<y>" lines carry the explicit
 /// synchronization tokens of the decoupled execution model (see
-/// sched/decoupled.hpp): token <id> is signaled by bank <f> once its
-/// <p>-th stream instruction (1-based, counting the bank's slots in step
-/// order) completes and waited on by bank <t> before its <q>-th stream
-/// instruction starts. Token ids must be 1..N in order — a missing or
-/// duplicate id means half of a signal/wait pair got lost, and the
-/// parser rejects it.
+/// sched/decoupled.hpp): token <id> is signaled by bank <f> once phase
+/// <x> of its <p>-th stream instruction (1-based, counting the bank's
+/// slots in step order) completes and waited on by bank <t> before phase
+/// <y> of its <q>-th stream instruction. Every endpoint names its phase:
+/// f(etch), a (read A), b (read B) or w(rite). Token ids must be 1..N
+/// in order — a missing or duplicate id means half of a signal/wait
+/// pair got lost, and the parser rejects it.
 [[nodiscard]] std::string to_text(const ParallelProgram& program);
 void write_text(const ParallelProgram& program, std::ostream& os);
 

@@ -1,111 +1,71 @@
 #pragma once
 
-#include <atomic>
-#include <cassert>
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 namespace plim::serve {
 
 /// Bounded multi-producer/multi-consumer FIFO queue — the work conduit
-/// between request readers and the compile worker pool (and the engine
-/// under Driver::run_batch).
+/// between the compile server's request readers and its worker pool.
 ///
-/// The ring is the classic sequence-numbered MPMC design [Vyukov]: every
-/// cell carries an atomic ticket; producers and consumers claim cells by
-/// advancing their cursor with a CAS and hand them over by bumping the
-/// ticket, so element transfer itself is lock-free. The blocking layer
-/// (push/pop) parks on a condition variable when the ring runs full/dry;
-/// successful operations briefly take the mutex to publish their wakeup,
-/// which is what makes a parked peer unable to miss it.
+/// One mutex guards a std::deque: producers park on `not_full_` while
+/// the queue holds `capacity()` elements, consumers park on
+/// `not_empty_` while it is empty. A job costs a compile (milliseconds
+/// to seconds), so one lock acquisition per push and pop is never the
+/// bottleneck.
 ///
 /// close() ends the stream: subsequent pushes are refused, parked
-/// consumers wake, and pop() keeps draining until the ring is empty —
+/// threads wake, and pop() keeps draining until the queue is empty —
 /// the graceful-shutdown contract (answer everything already accepted,
 /// accept nothing new).
 template <typename T>
 class MpmcQueue {
  public:
-  /// Capacity is rounded up to a power of two (minimum 2).
-  explicit MpmcQueue(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) {
-      cap <<= 1;
-    }
-    cells_ = std::vector<Cell>(cap);
-    mask_ = cap - 1;
-    for (std::size_t i = 0; i < cap; ++i) {
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
+  /// A capacity of 0 is treated as 1.
+  explicit MpmcQueue(std::size_t capacity)
+      : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
   MpmcQueue(const MpmcQueue&) = delete;
   MpmcQueue& operator=(const MpmcQueue&) = delete;
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Non-blocking enqueue; false when the ring is full or closed.
-  bool try_push(T value) {
-    if (!push_impl(value)) {
-      return false;
-    }
-    wake_consumer();
-    return true;
-  }
-
-  /// Non-blocking dequeue; false when the ring is empty.
-  bool try_pop(T& out) {
-    if (!pop_impl(out)) {
-      return false;
-    }
-    wake_producer();
-    return true;
-  }
-
-  /// Blocking enqueue: parks while the ring is full. False once closed
-  /// (the element is not enqueued).
+  /// Blocking enqueue: parks while the queue is full. False once closed
+  /// (the element is not enqueued), also when close() runs while this
+  /// push is parked.
   bool push(T value) {
-    if (try_push(std::move(value))) {
-      return true;
-    }
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (closed_.load(std::memory_order_acquire)) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      not_full_.wait(lock,
+                     [this]() { return closed_ || items_.size() < capacity_; });
+      if (closed_) {
         return false;
       }
-      if (push_impl(value)) {
-        // Notify outside the lock — wake_consumer re-takes mutex_ and
-        // the mutex is not recursive.
-        lock.unlock();
-        wake_consumer();
-        return true;
-      }
-      not_full_.wait(lock);
+      items_.push_back(std::move(value));
     }
+    not_empty_.notify_one();
+    return true;
   }
 
-  /// Blocking dequeue: parks while the ring is empty. False only when
+  /// Blocking dequeue: parks while the queue is empty. False only when
   /// the queue is closed *and* fully drained — pending elements are
   /// always delivered first.
   bool pop(T& out) {
-    if (try_pop(out)) {
-      return true;
-    }
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (pop_impl(out)) {
-        lock.unlock();
-        wake_producer();
-        return true;
-      }
-      if (closed_.load(std::memory_order_acquire)) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      not_empty_.wait(lock, [this]() { return closed_ || !items_.empty(); });
+      if (items_.empty()) {
         return false;  // closed and drained
       }
-      not_empty_.wait(lock);
+      out = std::move(items_.front());
+      items_.pop_front();
     }
+    not_full_.notify_one();
+    return true;
   }
 
   /// Refuses future pushes and wakes every parked thread; elements
@@ -113,101 +73,30 @@ class MpmcQueue {
   void close() {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      closed_.store(true, std::memory_order_release);
+      closed_ = true;
     }
     not_empty_.notify_all();
     not_full_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const noexcept {
-    return closed_.load(std::memory_order_acquire);
+  [[nodiscard]] bool closed() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return closed_;
   }
 
-  /// Racy element-count estimate (the queue-depth gauge; exact only when
-  /// producers and consumers are quiescent).
-  [[nodiscard]] std::size_t approx_size() const noexcept {
-    const auto tail = tail_.load(std::memory_order_relaxed);
-    const auto head = head_.load(std::memory_order_relaxed);
-    return tail > head ? tail - head : 0;
+  /// Elements currently queued (the queue-depth gauge).
+  [[nodiscard]] std::size_t size() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return items_.size();
   }
 
  private:
-  struct Cell {
-    std::atomic<std::size_t> seq{0};
-    T value{};
-  };
-
-  /// Lock-free ring enqueue, no notification. Moves from `value` only on
-  /// success, so blocking push can retry the same element after a full
-  /// ring.
-  bool push_impl(T& value) {
-    if (closed_.load(std::memory_order_acquire)) {
-      return false;
-    }
-    auto pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const auto seq = cell.seq.load(std::memory_order_acquire);
-      const auto diff = static_cast<std::ptrdiff_t>(seq) -
-                        static_cast<std::ptrdiff_t>(pos);
-      if (diff == 0) {
-        if (tail_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed)) {
-          cell.value = std::move(value);
-          cell.seq.store(pos + 1, std::memory_order_release);
-          return true;
-        }
-      } else if (diff < 0) {
-        return false;  // full: the cell still holds an unconsumed element
-      } else {
-        pos = tail_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  /// Lock-free ring dequeue, no notification.
-  bool pop_impl(T& out) {
-    auto pos = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const auto seq = cell.seq.load(std::memory_order_acquire);
-      const auto diff = static_cast<std::ptrdiff_t>(seq) -
-                        static_cast<std::ptrdiff_t>(pos + 1);
-      if (diff == 0) {
-        if (head_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed)) {
-          out = std::move(cell.value);
-          cell.seq.store(pos + mask_ + 1, std::memory_order_release);
-          return true;
-        }
-      } else if (diff < 0) {
-        return false;  // empty
-      } else {
-        pos = head_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  // Wakeups take the mutex so a waiter between its failed try_* and its
-  // wait() cannot miss the notify (the state change it waits on is
-  // re-checked under the same mutex).
-  void wake_consumer() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    not_empty_.notify_one();
-  }
-  void wake_producer() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    not_full_.notify_one();
-  }
-
-  std::vector<Cell> cells_;
-  std::size_t mask_ = 1;
-  alignas(64) std::atomic<std::size_t> tail_{0};
-  alignas(64) std::atomic<std::size_t> head_{0};
-  std::atomic<bool> closed_{false};
-  std::mutex mutex_;
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
+  std::deque<T> items_;
+  bool closed_ = false;
 };
 
 }  // namespace plim::serve

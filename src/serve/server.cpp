@@ -74,7 +74,7 @@ Server::Server(Options compile_options, ServerOptions server_options)
     : driver_(std::move(compile_options)),
       options_(server_options),
       cache_(server_options.cache_bytes),
-      queue_(std::max<std::size_t>(server_options.queue_capacity, 2)) {
+      queue_(server_options.queue_capacity) {
   options_.workers = std::max(options_.workers, 1u);
 }
 
@@ -124,7 +124,7 @@ ServerSnapshot Server::snapshot() const {
   s.cache_entries = cache_stats.entries;
   s.cache_bytes = cache_stats.bytes;
   s.cache_max_bytes = cache_stats.max_bytes;
-  s.queue_depth = queue_.approx_size();
+  s.queue_depth = queue_.size();
   s.workers = options_.workers;
   {
     const std::lock_guard<std::mutex> lock(latency_mutex_);
@@ -173,16 +173,7 @@ void Server::worker_loop() {
       response = error_response(job.request.id, "internal-error", e.what());
     }
     job.respond(response);
-    finish_job();
   }
-}
-
-void Server::finish_job() {
-  pending_.fetch_sub(1, std::memory_order_acq_rel);
-  // Lock-then-notify so the drain waiter cannot check pending_ and park
-  // between our decrement and the notification.
-  { const std::lock_guard<std::mutex> lock(drain_mutex_); }
-  drained_.notify_all();
 }
 
 void Server::handle_line(const std::string& line,
@@ -207,9 +198,8 @@ void Server::handle_line(const std::string& line,
     case Request::Kind::compile:
       break;
   }
-  pending_.fetch_add(1, std::memory_order_acq_rel);
   util::MetricsRegistry::global().gauge_set(
-      "serve.queue_depth", static_cast<double>(queue_.approx_size() + 1));
+      "serve.queue_depth", static_cast<double>(queue_.size() + 1));
   Job job;
   job.request = std::move(request);
   job.enqueued = std::chrono::steady_clock::now();
@@ -220,7 +210,6 @@ void Server::handle_line(const std::string& line,
   if (!queue_.push(std::move(job))) {
     // Only a closed queue refuses a blocking push: the drain began
     // between parse and enqueue.
-    finish_job();
     conn->write_line(error_response(
         id, "server-shutting-down",
         "the server is draining and accepts no new compile requests"));
@@ -301,14 +290,9 @@ void Server::acceptor_loop(int listen_fd) {
 }
 
 void Server::drain_and_stop() {
-  // Answer everything already accepted before the workers go home: a
-  // drain is only graceful if no accepted request dies unanswered.
-  {
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    drained_.wait(lock, [this]() {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
-  }
+  // Every reader has been joined, so nothing pushes anymore; pop()
+  // delivers each queued job before it reports the closed queue, so no
+  // accepted request dies unanswered.
   queue_.close();
   for (auto& t : workers_) {
     t.join();

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -24,11 +23,12 @@ namespace plim::serve {
 /// constructed with — one option set per daemon, like one option set
 /// per batch).
 struct ServerOptions {
-  /// Compile worker threads popping the MPMC queue.
+  /// Compile worker threads popping the work queue.
   unsigned workers = 4;
   /// Compiled-program cache budget (estimated bytes; 0 disables).
   std::size_t cache_bytes = std::size_t{256} << 20;
-  /// Bounded MPMC depth; readers park when clients outrun the pool.
+  /// Bounded work-queue depth; readers park when clients outrun the
+  /// pool.
   std::size_t queue_capacity = 256;
   /// Serve JSON-lines on stdin/stdout.
   bool stdio = true;
@@ -41,7 +41,7 @@ struct ServerOptions {
 
 /// `plimc --serve`: a persistent compile daemon. Requests arrive as
 /// JSON lines (see protocol.hpp) over stdin and/or local sockets, fan
-/// out onto a worker pool through a bounded MPMC queue, and are
+/// out onto a worker pool through a bounded work queue, and are
 /// answered from the structural-hash compiled-program cache whenever an
 /// identical (MIG, Options) pair was compiled before. Cache hit rate,
 /// queue depth and request latency flow into util::MetricsRegistry
@@ -117,8 +117,8 @@ class Server {
       const Request& request, std::chrono::steady_clock::time_point enqueued,
       std::chrono::steady_clock::time_point started);
   void record_latency(double latency_ms);
-  /// Decrements pending_ and wakes the drain waiter (missed-wakeup safe).
-  void finish_job();
+  /// Closes the queue and joins the workers; they answer every queued
+  /// job before exiting.
   void drain_and_stop();
 
   Driver driver_;
@@ -128,11 +128,6 @@ class Server {
 
   std::atomic<bool> shutdown_{false};
   std::atomic<int> bound_port_{-1};
-
-  /// Jobs accepted but not yet answered; the drain waits for zero.
-  std::atomic<std::size_t> pending_{0};
-  std::mutex drain_mutex_;
-  std::condition_variable drained_;
 
   /// Exact latency percentiles over a bounded window of recent compile
   /// requests (the registry's log2 histogram is the coarse export; the

@@ -157,6 +157,20 @@ TEST(Text, ParseRejectsMalformed) {
   EXPECT_THROW((void)parse_program("01: 0, 1"), std::runtime_error);
   EXPECT_THROW((void)parse_program("01: 0, 1, unknown"), std::runtime_error);
   EXPECT_THROW((void)parse_program("01: 0, 1, @X0"), std::runtime_error);
+  // Numbers past 32 bits are rejected, not wrapped onto a small cell.
+  EXPECT_THROW((void)parse_program("01: 0, 1, @X4294967297"),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_program("01: 0, 1, @X1\n# output f @X0"),
+               std::runtime_error);
+}
+
+TEST(Text, ParseU32IsChecked) {
+  EXPECT_EQ(parse_u32("0"), 0u);
+  EXPECT_EQ(parse_u32("4294967295"), 4294967295u);
+  EXPECT_THROW((void)parse_u32("4294967296"), std::runtime_error);
+  EXPECT_THROW((void)parse_u32(""), std::runtime_error);
+  EXPECT_THROW((void)parse_u32("-1"), std::runtime_error);
+  EXPECT_THROW((void)parse_u32("12x"), std::runtime_error);
 }
 
 }  // namespace

@@ -500,27 +500,38 @@ TEST(ParallelText, RejectsUnmatchedSyncTokens) {
       "# bank 1 @X2..@X2\n"
       "01: b0: 0, 1, @X1 | b1: 0, 1, @X2\n";
   // Half a pair: no wait side.
-  EXPECT_THROW((void)parse_parallel_program(header + "# sync t1: b0@1 ->\n"),
-               std::runtime_error);
+  EXPECT_THROW(
+      (void)parse_parallel_program(header + "# sync t1: b0@1.w ->\n"),
+      std::runtime_error);
   // No signal -> wait arrow at all.
   EXPECT_THROW(
-      (void)parse_parallel_program(header + "# sync t1: b0@1 b1@1\n"),
+      (void)parse_parallel_program(header + "# sync t1: b0@1.w b1@1.f\n"),
       std::runtime_error);
   // Token ids must be 1..N in order (a skipped id is a lost pair).
   EXPECT_THROW(
-      (void)parse_parallel_program(header + "# sync t2: b0@1 -> b1@1\n"),
+      (void)parse_parallel_program(header + "# sync t2: b0@1.w -> b1@1.f\n"),
       std::runtime_error);
   // 0-based positions are malformed.
   EXPECT_THROW(
-      (void)parse_parallel_program(header + "# sync t1: b0@0 -> b1@1\n"),
+      (void)parse_parallel_program(header + "# sync t1: b0@0.w -> b1@1.f\n"),
       std::runtime_error);
   // Valid shape but out-of-range position fails validation.
   EXPECT_THROW(
-      (void)parse_parallel_program(header + "# sync t1: b0@9 -> b1@1\n"),
+      (void)parse_parallel_program(header + "# sync t1: b0@9.w -> b1@1.f\n"),
       std::runtime_error);
   // A well-formed token parses.
   EXPECT_NO_THROW(
-      (void)parse_parallel_program(header + "# sync t1: b0@1 -> b1@1\n"));
+      (void)parse_parallel_program(header + "# sync t1: b0@1.w -> b1@1.f\n"));
+  // Every endpoint names its phase: the bare form is rejected.
+  EXPECT_THROW(
+      (void)parse_parallel_program(header + "# sync t1: b0@1 -> b1@1\n"),
+      std::runtime_error);
+  EXPECT_THROW(
+      (void)parse_parallel_program(header + "# sync t1: b0@1.w -> b1@1\n"),
+      std::runtime_error);
+  EXPECT_THROW(
+      (void)parse_parallel_program(header + "# sync t1: b0@1.x -> b1@1.f\n"),
+      std::runtime_error);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "circuits/epfl.hpp"
-#include "core/pipeline.hpp"
 #include "io/blif.hpp"
 #include "sched/text.hpp"
 #include "util/metrics.hpp"
@@ -310,19 +309,6 @@ TEST(RetryLadder, DegradedStatsReachTheReport) {
   EXPECT_NE(json.find("\"cells_evicted\""), std::string::npos);
   EXPECT_NE(json.find("\"ops_recomputed\""), std::string::npos);
   EXPECT_NE(json.find("\"live_lower_bound\":7"), std::string::npos) << json;
-}
-
-TEST(PipelineShim, PreservesRramCapExceptionContract) {
-  // core::run_pipeline is a shim over the driver, but its documented
-  // exception contract survives: capacity infeasibility still throws
-  // core::RramCapExceeded, not a generic invalid_argument.
-  core::CompileOptions copts;
-  copts.rram_cap = 2;
-  EXPECT_THROW(
-      (void)core::run_pipeline(circuits::build_benchmark("ctrl"),
-                               core::PipelineConfig::rewriting_and_compilation,
-                               {}, copts),
-      core::RramCapExceeded);
 }
 
 // ---- manifests --------------------------------------------------------------

@@ -1,13 +1,16 @@
 /// Integration sweep: scaled-down instances of every parameterizable
-/// Table-1 benchmark run through all three pipeline configurations; each
-/// program executes on the PLiM machine against MIG simulation, and the
-/// rewritten network is certified equivalent to the original by SAT.
+/// Table-1 benchmark run through all three Table-1 Driver configurations;
+/// each program executes on the PLiM machine against MIG simulation of the
+/// original network, and the rewritten network is certified equivalent
+/// to the original by SAT.
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "circuits/epfl.hpp"
-#include "core/pipeline.hpp"
 #include "core/verify.hpp"
+#include "driver/driver.hpp"
 #include "mig/cleanup.hpp"
 #include "mig/random.hpp"
 #include "mig/rewriting.hpp"
@@ -38,22 +41,26 @@ mig::Mig int2float_full() { return circuits::make_int2float(); }
 
 class ScaledSuite : public ::testing::TestWithParam<Scaled> {};
 
-TEST_P(ScaledSuite, AllPipelineConfigsVerifyAndSatCertify) {
+TEST_P(ScaledSuite, AllTable1ColumnsVerifyAndSatCertify) {
   const auto& param = GetParam();
   // Shuffle like the registry does, so the naïve order is realistic.
   const auto m = mig::shuffle_topological(param.build(), 0xbeef);
 
-  for (const auto config :
-       {core::PipelineConfig::naive, core::PipelineConfig::rewriting,
-        core::PipelineConfig::rewriting_and_compilation}) {
-    const auto r = core::run_pipeline(m, config);
-    const auto compiled_for = config == core::PipelineConfig::naive
-                                  ? mig::cleanup_dangling(m)
-                                  : mig::rewrite_for_plim(m);
-    const auto v = core::verify_program(compiled_for, r.compiled.program, 4,
-                                        0x5eed);
+  const auto request = CompileRequest::from_mig(m, param.name);
+  // Naïve, rewriting, rewriting + smart compilation.
+  for (const auto& [rewrite, smart] :
+       {std::pair{false, false}, std::pair{true, false},
+        std::pair{true, true}}) {
+    Options options;
+    if (!rewrite) {
+      options.rewrite.effort = 0;
+    }
+    options.compile.smart_candidates = smart;
+    const auto r = Driver(options).run(request);
+    ASSERT_TRUE(r.ok()) << param.name << ": " << r.error_summary();
+    const auto v = core::verify_program(m, r.program, 4, 0x5eed);
     ASSERT_TRUE(v.ok) << param.name << ": " << v.message;
-    EXPECT_GE(r.compiled.stats.num_instructions, r.mig_gates)
+    EXPECT_GE(r.stats.compile.num_instructions, r.stats.gates)
         << param.name << ": fewer instructions than gates is impossible";
   }
 

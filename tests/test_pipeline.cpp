@@ -1,5 +1,3 @@
-#include "core/pipeline.hpp"
-
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,25 +8,47 @@
 
 #include "circuits/epfl.hpp"
 #include "core/verify.hpp"
+#include "driver/driver.hpp"
 #include "mig/cleanup.hpp"
-#include "mig/simulation.hpp"
-#include "util/rng.hpp"
 
-namespace plim::core {
+namespace plim {
 namespace {
+
+/// The three experimental configurations of Table 1, each one Driver
+/// option set: naïve (no rewriting, index-order candidates), rewriting
+/// (Algorithm 1 + index order) and rewriting + smart compilation.
+enum class Column { naive, rewriting, rewriting_and_compilation };
+
+Options column_options(Column column) {
+  Options options;
+  if (column == Column::naive) {
+    options.rewrite.effort = 0;
+  }
+  options.compile.smart_candidates =
+      column == Column::rewriting_and_compilation;
+  return options;
+}
+
+CompileOutcome run_column(const mig::Mig& m, Column column) {
+  auto outcome =
+      Driver(column_options(column)).run(CompileRequest::from_mig(m, "t"));
+  EXPECT_TRUE(outcome.ok()) << outcome.error_summary();
+  return outcome;
+}
 
 TEST(Pipeline, NaiveConfigUsesUnrewrittenNetwork) {
   const auto m = circuits::build_benchmark("ctrl");
-  const auto r = run_pipeline(m, PipelineConfig::naive);
-  EXPECT_EQ(r.mig_gates, mig::cleanup_dangling(m).num_gates());
-  EXPECT_EQ(r.rewrite_stats.gates_before, 0u);  // untouched
+  const auto r = run_column(m, Column::naive);
+  EXPECT_EQ(r.stats.gates, mig::cleanup_dangling(m).num_gates());
+  EXPECT_EQ(r.stats.rewrite.gates_before, m.num_gates());
+  EXPECT_EQ(r.stats.rewrite.gates_after, r.stats.gates);
 }
 
 TEST(Pipeline, RewritingConfigsReportStats) {
   const auto m = circuits::build_benchmark("ctrl");
-  const auto r = run_pipeline(m, PipelineConfig::rewriting);
-  EXPECT_GT(r.rewrite_stats.gates_before, 0u);
-  EXPECT_EQ(r.mig_gates, r.rewrite_stats.gates_after);
+  const auto r = run_column(m, Column::rewriting);
+  EXPECT_GT(r.stats.rewrite.gates_before, 0u);
+  EXPECT_EQ(r.stats.gates, r.stats.rewrite.gates_after);
 }
 
 TEST(Pipeline, FullPipelineBeatsNaiveOnTheSuiteAggregate) {
@@ -42,13 +62,12 @@ TEST(Pipeline, FullPipelineBeatsNaiveOnTheSuiteAggregate) {
   std::uint64_t r_full = 0;
   for (const char* name : {"cavlc", "ctrl", "router", "int2float", "i2c"}) {
     const auto m = circuits::build_benchmark(name);
-    const auto naive = run_pipeline(m, PipelineConfig::naive);
-    const auto full =
-        run_pipeline(m, PipelineConfig::rewriting_and_compilation);
-    i_naive += naive.compiled.stats.num_instructions;
-    i_full += full.compiled.stats.num_instructions;
-    r_naive += naive.compiled.stats.num_rrams;
-    r_full += full.compiled.stats.num_rrams;
+    const auto naive = run_column(m, Column::naive);
+    const auto full = run_column(m, Column::rewriting_and_compilation);
+    i_naive += naive.stats.compile.num_instructions;
+    i_full += full.stats.compile.num_instructions;
+    r_naive += naive.stats.compile.num_rrams;
+    r_full += full.stats.compile.num_rrams;
   }
   EXPECT_LT(i_full, i_naive);
   EXPECT_LT(r_full, r_naive);
@@ -57,33 +76,28 @@ TEST(Pipeline, FullPipelineBeatsNaiveOnTheSuiteAggregate) {
 TEST(Pipeline, AllConfigsVerifyOnBenchmarks) {
   for (const char* name : {"cavlc", "router", "int2float"}) {
     const auto m = circuits::build_benchmark(name);
-    for (const auto config :
-         {PipelineConfig::naive, PipelineConfig::rewriting,
-          PipelineConfig::rewriting_and_compilation}) {
-      const auto r = run_pipeline(m, config);
-      // Verify against the network that was compiled (rewritten or not),
-      // then tie the rewritten network back to the original by random
-      // co-simulation.
-      const auto compiled_for = config == PipelineConfig::naive
-                                    ? mig::cleanup_dangling(m)
-                                    : mig::rewrite_for_plim(m);
-      const auto v = verify_program(compiled_for, r.compiled.program, 4, 9);
+    for (const auto column : {Column::naive, Column::rewriting,
+                              Column::rewriting_and_compilation}) {
+      const auto r = run_column(m, column);
+      EXPECT_TRUE(r.stats.verified) << name;
+      // An independent end-to-end check against the *original* network
+      // (other vectors than the driver's own), which covers rewriting
+      // and compilation together.
+      const auto v = core::verify_program(m, r.program, 4, 9);
       EXPECT_TRUE(v.ok) << name << ": " << v.message;
-      util::Rng rng(13);
-      EXPECT_TRUE(mig::random_equivalence_check(m, compiled_for, 8, rng))
-          << name;
     }
   }
 }
 
 TEST(Pipeline, ForwardsExecutionModelToScheduler) {
   const auto m = circuits::build_benchmark("int2float");
-  sched::ScheduleOptions sopts;
-  sopts.execution = sched::ExecutionModel::decoupled;
-  const auto r = run_pipeline(m, PipelineConfig::rewriting_and_compilation,
-                              {}, {}, 4, sopts);
-  ASSERT_TRUE(r.schedule.has_value());
-  const auto& s = r.schedule->stats;
+  Options options;
+  options.banks = 4;
+  options.schedule.execution = sched::ExecutionModel::decoupled;
+  const auto r = Driver(options).run(CompileRequest::from_mig(m, "t"));
+  ASSERT_TRUE(r.ok()) << r.error_summary();
+  ASSERT_TRUE(r.stats.schedule.has_value());
+  const auto& s = *r.stats.schedule;
   EXPECT_EQ(s.execution, sched::ExecutionModel::decoupled);
   EXPECT_EQ(s.makespan_cycles, s.decoupled_cycles);
   EXPECT_LE(s.decoupled_cycles, s.lockstep_cycles);
@@ -245,18 +259,17 @@ TEST(PlimcCli, WarningsGoToStderrAndKeepExitZero) {
 }
 
 TEST(Pipeline, CustomRewriteEffortIsHonored) {
-  const auto m = circuits::build_benchmark("cavlc");
-  mig::RewriteOptions fast;
-  fast.effort = 1;
-  const auto r1 = run_pipeline(m, PipelineConfig::rewriting_and_compilation,
-                               fast);
-  mig::RewriteOptions thorough;
-  thorough.effort = 6;
-  const auto r6 = run_pipeline(m, PipelineConfig::rewriting_and_compilation,
-                               thorough);
-  EXPECT_LE(r6.compiled.stats.num_instructions,
-            r1.compiled.stats.num_instructions + 8);
+  const auto request =
+      CompileRequest::from_mig(circuits::build_benchmark("cavlc"), "cavlc");
+  auto options = column_options(Column::rewriting_and_compilation);
+  options.rewrite.effort = 1;
+  const auto r1 = Driver(options).run(request);
+  options.rewrite.effort = 6;
+  const auto r6 = Driver(options).run(request);
+  ASSERT_TRUE(r1.ok() && r6.ok());
+  EXPECT_LE(r6.stats.compile.num_instructions,
+            r1.stats.compile.num_instructions + 8);
 }
 
 }  // namespace
-}  // namespace plim::core
+}  // namespace plim

@@ -8,7 +8,7 @@
 #include "arch/program.hpp"
 #include "circuits/epfl.hpp"
 #include "core/compiler.hpp"
-#include "core/pipeline.hpp"
+#include "driver/driver.hpp"
 #include "mig/random.hpp"
 #include "sched/depgraph.hpp"
 #include "sched/scheduler.hpp"
@@ -452,6 +452,31 @@ TEST(ParallelText, ParseRejectsMalformed) {
       std::runtime_error);  // malformed bank tag number
 }
 
+TEST(ParallelText, RejectsOutOfRangeNumbers) {
+  // 2^32 + 1 banks must not wrap around to a 1-bank program.
+  EXPECT_THROW((void)parse_parallel_program(
+                   "# parallel banks 4294967297\n"
+                   "# bank 0 @X1..@X1\n"
+                   "01: b0: 0, 1, @X1\n"),
+               std::runtime_error);
+  // Above the driver's bank cap: refused before anything is sized.
+  try {
+    (void)parse_parallel_program("# parallel banks 1025\n");
+    FAIL() << "1025 banks must not parse";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("maximum is 1024"),
+              std::string::npos);
+  }
+  EXPECT_EQ(parse_parallel_program("# parallel banks 1024\n").num_banks(),
+            kMaxBanks);
+  // A cell id past 32 bits must not wrap onto @X1.
+  EXPECT_THROW((void)parse_parallel_program(
+                   "# parallel banks 1\n"
+                   "# bank 0 @X1..@X1\n"
+                   "01: b0: 0, 1, @X4294967297\n"),
+               std::runtime_error);
+}
+
 // ---- cost model -------------------------------------------------------------
 
 TEST(CostModel, BusRoundsAndDuplication) {
@@ -692,17 +717,18 @@ TEST(PlacementHints, RejectsIncompleteHints) {
 }
 
 TEST(PlacementHints, CompilerPlacementFlowsThroughPipeline) {
-  core::CompileOptions copts;
-  copts.placement_banks = 4;
-  const auto with = core::run_pipeline(
-      circuits::make_cavlc(), core::PipelineConfig::rewriting_and_compilation,
-      {}, copts, 4);
-  ASSERT_TRUE(with.compiled.placement.has_value());
-  EXPECT_EQ(with.compiled.placement->num_banks, 4u);
-  ASSERT_TRUE(with.schedule.has_value());
-  EXPECT_TRUE(with.schedule->stats.placement_hints_used);
-  EXPECT_EQ(with.schedule->program.validate(), "");
-  expect_equivalent(with.compiled.program, with.schedule->program, 60601);
+  Options options;
+  options.banks = 4;
+  options.placement = PlacementMode::compiler;
+  const auto with = Driver(options).run(
+      CompileRequest::from_mig(circuits::make_cavlc(), "cavlc"));
+  ASSERT_TRUE(with.ok()) << with.error_summary();
+  ASSERT_TRUE(with.placement.has_value());
+  EXPECT_EQ(with.placement->num_banks, 4u);
+  ASSERT_TRUE(with.parallel.has_value());
+  EXPECT_TRUE(with.stats.schedule->placement_hints_used);
+  EXPECT_EQ(with.parallel->validate(), "");
+  expect_equivalent(with.program, *with.parallel, 60601);
 }
 
 // ---- majority-subtree clustering --------------------------------------------
@@ -734,16 +760,20 @@ TEST(Clustering, CutsTransfersOnComponentCircuits) {
 // ---- pipeline integration ---------------------------------------------------
 
 TEST(Pipeline, OptionalSchedulingStage) {
-  const auto network = circuits::make_cavlc();
-  const auto without = core::run_pipeline(
-      network, core::PipelineConfig::rewriting_and_compilation);
-  EXPECT_FALSE(without.schedule.has_value());
-  const auto with = core::run_pipeline(
-      network, core::PipelineConfig::rewriting_and_compilation, {}, {}, 4);
-  ASSERT_TRUE(with.schedule.has_value());
-  EXPECT_EQ(with.schedule->stats.banks, 4u);
-  EXPECT_EQ(with.schedule->program.validate(), "");
-  expect_equivalent(with.compiled.program, with.schedule->program, 99);
+  const auto request =
+      CompileRequest::from_mig(circuits::make_cavlc(), "cavlc");
+  const auto without = Driver().run(request);
+  ASSERT_TRUE(without.ok()) << without.error_summary();
+  EXPECT_FALSE(without.parallel.has_value());
+  EXPECT_FALSE(without.stats.schedule.has_value());
+  Options options;
+  options.banks = 4;
+  const auto with = Driver(options).run(request);
+  ASSERT_TRUE(with.ok()) << with.error_summary();
+  ASSERT_TRUE(with.parallel.has_value());
+  EXPECT_EQ(with.stats.schedule->banks, 4u);
+  EXPECT_EQ(with.parallel->validate(), "");
+  expect_equivalent(with.program, *with.parallel, 99);
 }
 
 }  // namespace

@@ -1,8 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,22 +38,49 @@ TEST(MpmcQueueTest, FifoSingleThread) {
   serve::MpmcQueue<int> q(8);
   EXPECT_EQ(q.capacity(), 8u);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(q.try_push(i));
+    EXPECT_TRUE(q.push(i));
   }
-  EXPECT_FALSE(q.try_push(99));  // full
+  EXPECT_EQ(q.size(), 8u);
   int out = -1;
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(q.try_pop(out));
+    ASSERT_TRUE(q.pop(out));
     EXPECT_EQ(out, i);  // FIFO
   }
-  EXPECT_FALSE(q.try_pop(out));  // empty
+  EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(MpmcQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  serve::MpmcQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-  serve::MpmcQueue<int> q1(0);
-  EXPECT_EQ(q1.capacity(), 2u);
+TEST(MpmcQueueTest, PushIntoAFullQueueFailsOnceClosed) {
+  serve::MpmcQueue<int> q(1);
+  EXPECT_EQ(q.capacity(), 1u);
+  ASSERT_TRUE(q.push(1));
+  // The queue is full, so this push can only park; close() must wake it
+  // with a refusal. (Had the bound leaked, it would have succeeded.)
+  bool pushed = true;
+  std::thread producer([&]() { pushed = q.push(2); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  q.close();
+  producer.join();
+  EXPECT_FALSE(pushed);
+  EXPECT_EQ(q.size(), 1u);
+  int out = -1;
+  EXPECT_TRUE(q.pop(out));
+  EXPECT_EQ(out, 1);
+  EXPECT_FALSE(q.pop(out));
+}
+
+TEST(MpmcQueueTest, ParkedPushResumesWhenPopMakesRoom) {
+  serve::MpmcQueue<int> q(0);  // clamped to one slot
+  EXPECT_EQ(q.capacity(), 1u);
+  ASSERT_TRUE(q.push(1));
+  bool pushed = false;
+  std::thread producer([&]() { pushed = q.push(2); });
+  int out = -1;
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(out, 1);
+  producer.join();
+  EXPECT_TRUE(pushed);
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_EQ(out, 2);
 }
 
 TEST(MpmcQueueTest, CloseDrainsRemainingElements) {
@@ -535,6 +574,163 @@ TEST(ServerTest, ShutdownCommandFlagsTheDrain) {
       server.process_line(R"({"cmd":"shutdown","id":"bye"})");
   EXPECT_NE(response.find("\"shutdown\":true"), std::string::npos);
   EXPECT_TRUE(server.shutdown_requested());
+}
+
+/// Connects to a Unix socket, retrying while the server is still coming
+/// up. Returns the connected fd, or -1 after about five seconds.
+int connect_unix(const std::string& path) {
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) {
+      return -1;
+    }
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof addr);
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                  sizeof addr) == 0) {
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// Reads newline-framed lines from `fd` until `lines` holds `count` of
+/// them; false on EOF, error or receive timeout.
+bool read_lines(int fd, std::string& buffer, std::vector<std::string>& lines,
+                std::size_t count) {
+  char chunk[4096];
+  for (;;) {
+    for (auto pos = buffer.find('\n');
+         pos != std::string::npos && lines.size() < count;
+         pos = buffer.find('\n')) {
+      lines.push_back(buffer.substr(0, pos));
+      buffer.erase(0, pos + 1);
+    }
+    if (lines.size() >= count) {
+      return true;
+    }
+    const auto n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) {
+      return false;
+    }
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// Writes `text` into the FIFO at `path` once a reader has opened it
+/// (polls for up to about 60 seconds). False when no reader came.
+bool feed_fifo(const std::string& path, const std::string& text) {
+  for (int attempt = 0; attempt < 6000; ++attempt) {
+    const int fd = ::open(path.c_str(), O_WRONLY | O_NONBLOCK);
+    if (fd >= 0) {
+      const auto n = ::write(fd, text.data(), text.size());
+      ::close(fd);
+      return n == static_cast<ssize_t>(text.size());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+TEST(ServerTest, SocketShutdownAnswersEveryAcceptedRequest) {
+  // The drain contract over a real transport: compile requests pipelined
+  // ahead of a shutdown on the same connection are all answered before
+  // serve() returns. Both workers first block reading a BLIF from a
+  // FIFO, so the benchmark requests are still queued when the shutdown
+  // arrives — and, after the pause below, when the queue closes.
+  std::string dir_template =
+      (std::filesystem::temp_directory_path() / "plim_serve_XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(dir_template.data()), nullptr);
+  const std::filesystem::path dir(dir_template);
+  const auto socket_path = (dir / "plimc.sock").string();
+  const std::string gates[] = {(dir / "gate0.blif").string(),
+                               (dir / "gate1.blif").string()};
+  for (const auto& gate : gates) {
+    ASSERT_EQ(::mkfifo(gate.c_str(), 0600), 0);
+  }
+
+  serve::ServerOptions server_options;
+  server_options.workers = 2;
+  server_options.stdio = false;
+  server_options.unix_socket = socket_path;
+  serve::Server server(Options{}, server_options);
+  int exit_code = -1;
+  std::thread serving([&]() { exit_code = server.serve(); });
+
+  const int fd = connect_unix(socket_path);
+  if (fd < 0) {
+    server.request_shutdown();
+    serving.join();
+    std::filesystem::remove_all(dir);
+    FAIL() << "cannot connect to " << socket_path;
+  }
+  // A stuck drain fails the reads below instead of hanging the suite.
+  struct timeval timeout = {60, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+
+  constexpr std::size_t kBenchmarks = 6;
+  std::string script;
+  for (std::size_t g = 0; g < 2; ++g) {
+    script += R"({"id":"g)" + std::to_string(g) + R"(","blif":")" +
+              gates[g] + "\"}\n";
+  }
+  for (std::size_t i = 0; i < kBenchmarks; ++i) {
+    script += R"({"id":"c)" + std::to_string(i) + R"(","benchmark":")" +
+              (i % 2 == 0 ? "ctrl" : "int2float") + "\"}\n";
+  }
+  script += R"({"cmd":"shutdown","id":"q"})" "\n";
+  const bool wrote = ::write(fd, script.data(), script.size()) ==
+                     static_cast<ssize_t>(script.size());
+
+  // With both workers parked on the gates, the shutdown reply is the
+  // first line back.
+  std::vector<std::string> lines;
+  std::string buffer;
+  const bool got_shutdown = wrote && read_lines(fd, buffer, lines, 1);
+  bool fed = false;
+  if (wrote) {
+    // Outlast the serve loop's poll intervals so the drain has closed
+    // the queue, then open the gates.
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    const std::string blif =
+        ".model gate\n.inputs a b\n.outputs f\n.names a b f\n10 1\n"
+        "01 1\n.end\n";
+    fed = true;
+    for (const auto& gate : gates) {
+      fed = feed_fifo(gate, blif) && fed;
+    }
+  }
+  const bool got_all =
+      got_shutdown && read_lines(fd, buffer, lines, kBenchmarks + 3);
+  ::close(fd);
+  server.request_shutdown();
+  serving.join();
+  std::filesystem::remove_all(dir);
+
+  ASSERT_TRUE(wrote);
+  ASSERT_TRUE(got_shutdown);
+  EXPECT_NE(lines.front().find("\"shutdown\":true"), std::string::npos)
+      << lines.front();
+  EXPECT_TRUE(fed);
+  EXPECT_TRUE(got_all) << lines.size() << " lines";
+  EXPECT_EQ(exit_code, 0);
+  std::set<std::string> answered;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    EXPECT_NE(lines[i].find("\"ok\":true"), std::string::npos) << lines[i];
+    const auto start = lines[i].find("\"id\":\"") + 6;
+    answered.insert(
+        lines[i].substr(start, lines[i].find('"', start) - start));
+  }
+  std::set<std::string> expected = {"g0", "g1"};
+  for (std::size_t i = 0; i < kBenchmarks; ++i) {
+    expected.insert("c" + std::to_string(i));
+  }
+  EXPECT_EQ(answered, expected);
 }
 
 }  // namespace

@@ -22,9 +22,8 @@ the geometric mean of the ratios. The exit code ignores them.
 
 Every per-configuration block is one plim::StatsReport — the schema
 shared with `plimc --json` / `plimc --batch`: schedule metrics live in
-the nested "schedule" object (pre-facade trajectories carried them at
-the top level; both shapes are accepted so the diff can bridge the
-schema migration).
+the nested "schedule" object. A block without one is a schema error
+(exit 2), never read as flat metrics.
 
 Usage: diff_bench.py committed.json fresh.json [--tolerance 0.05]
 """
@@ -35,11 +34,16 @@ import math
 import sys
 
 
+class SchemaError(Exception):
+    """A trajectory block that is not a StatsReport with a schedule."""
+
+
 def sched(block):
-    """Schedule metrics of one config block (StatsReport or legacy flat)."""
-    if isinstance(block.get("schedule"), dict):
-        return block["schedule"]
-    return block
+    """Schedule metrics of one config block (its nested "schedule")."""
+    if not isinstance(block.get("schedule"), dict):
+        raise SchemaError("config block without a nested \"schedule\" "
+                          f"object: {json.dumps(block)[:120]}")
+    return block["schedule"]
 
 
 def schedule_ms(block):
@@ -67,11 +71,10 @@ def entries(trajectory):
                 for block in payload.get("bus_4banks", []):
                     yield (name, mode, 4, sched(block).get("bus_width", 0)), block
             elif isinstance(payload, dict):
+                # single-config blocks (e.g. unclustered_4banks, cap60)
                 entry = sched(payload)
-                if "steps" in entry:
-                    # flat single-config blocks (e.g. unclustered_4banks)
-                    yield (name, mode, entry.get("banks", 0),
-                           entry.get("bus_width", 0)), payload
+                yield (name, mode, entry.get("banks", 0),
+                       entry.get("bus_width", 0)), payload
 
 
 def report_wall_clock(committed, fresh):
@@ -106,8 +109,12 @@ def main():
         committed_top = json.load(f)
     with open(args.fresh) as f:
         fresh_top = json.load(f)
-    committed_blocks = dict(entries(committed_top))
-    fresh_blocks = dict(entries(fresh_top))
+    try:
+        committed_blocks = dict(entries(committed_top))
+        fresh_blocks = dict(entries(fresh_top))
+    except SchemaError as e:
+        print(f"diff_bench: {e}")
+        return 2
     committed = {k: sched(b) for k, b in committed_blocks.items()}
     fresh = {k: sched(b) for k, b in fresh_blocks.items()}
 
