@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/text.hpp"
 #include "circuits/epfl.hpp"
 #include "driver/driver.hpp"
 #include "mig/cleanup.hpp"
@@ -84,24 +85,31 @@ int main(int argc, char** argv) {
   unsigned rounds = 2;
   bool verify = true;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--benchmark") == 0 && i + 1 < argc) {
-      only = argv[++i];
-    } else if (std::strcmp(argv[i], "--effort") == 0 && i + 1 < argc) {
-      effort = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      rounds = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-verify") == 0) {
-      verify = false;
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::cerr << "usage: sched_speedup [--benchmark <name>] [--effort N] "
-                   "[--rounds N] [--json <file|->] [--no-verify] [--smoke]\n";
-      return 2;
+  const auto usage = [] {
+    std::cerr << "usage: sched_speedup [--benchmark <name>] [--effort N] "
+                 "[--rounds N] [--json <file|->] [--no-verify] [--smoke]\n";
+    return 2;
+  };
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--benchmark") == 0 && i + 1 < argc) {
+        only = argv[++i];
+      } else if (std::strcmp(argv[i], "--effort") == 0 && i + 1 < argc) {
+        effort = plim::arch::parse_u32(argv[++i]);
+      } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
+        rounds = plim::arch::parse_u32(argv[++i]);
+      } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+        json_path = argv[++i];
+      } else if (std::strcmp(argv[i], "--no-verify") == 0) {
+        verify = false;
+      } else if (std::strcmp(argv[i], "--smoke") == 0) {
+        smoke = true;
+      } else {
+        return usage();
+      }
     }
+  } catch (const std::exception&) {
+    return usage();  // malformed or out-of-range number
   }
   if (smoke) {
     effort = std::min(effort, 1u);

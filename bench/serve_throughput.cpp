@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "arch/text.hpp"
 #include "circuits/epfl.hpp"
 #include "driver/driver.hpp"
 #include "serve/server.hpp"
@@ -116,20 +117,27 @@ int main(int argc, char** argv) {
   unsigned reps = 20;
   std::string json_path;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::cerr << "usage: serve_throughput [--threads N] [--reps N] "
-                   "[--json <file|->] [--smoke]\n";
-      return 2;
+  const auto usage = [] {
+    std::cerr << "usage: serve_throughput [--threads N] [--reps N] "
+                 "[--json <file|->] [--smoke]\n";
+    return 2;
+  };
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+        threads = plim::arch::parse_u32(argv[++i], plim::serve::kMaxWorkers);
+      } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
+        reps = plim::arch::parse_u32(argv[++i]);
+      } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+        json_path = argv[++i];
+      } else if (std::strcmp(argv[i], "--smoke") == 0) {
+        smoke = true;
+      } else {
+        return usage();
+      }
     }
+  } catch (const std::exception&) {
+    return usage();  // malformed or out-of-range number
   }
   if (smoke) {
     reps = std::min(reps, 10u);

@@ -19,6 +19,7 @@
 #include <iostream>
 #include <string>
 
+#include "arch/text.hpp"
 #include "circuits/epfl.hpp"
 #include "driver/driver.hpp"
 #include "util/table.hpp"
@@ -50,18 +51,25 @@ int main(int argc, char** argv) {
   std::string only;
   unsigned effort = 4;
   bool verify = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--benchmark") == 0 && i + 1 < argc) {
-      only = argv[++i];
-    } else if (std::strcmp(argv[i], "--effort") == 0 && i + 1 < argc) {
-      effort = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--no-verify") == 0) {
-      verify = false;
-    } else {
-      std::cerr << "usage: table1 [--benchmark <name>] [--effort N] "
-                   "[--no-verify]\n";
-      return 2;
+  const auto usage = [] {
+    std::cerr << "usage: table1 [--benchmark <name>] [--effort N] "
+                 "[--no-verify]\n";
+    return 2;
+  };
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--benchmark") == 0 && i + 1 < argc) {
+        only = argv[++i];
+      } else if (std::strcmp(argv[i], "--effort") == 0 && i + 1 < argc) {
+        effort = plim::arch::parse_u32(argv[++i]);
+      } else if (std::strcmp(argv[i], "--no-verify") == 0) {
+        verify = false;
+      } else {
+        return usage();
+      }
     }
+  } catch (const std::exception&) {
+    return usage();  // malformed or out-of-range number
   }
 
   const plim::Driver naive_driver(column(0, false, verify));

@@ -58,7 +58,8 @@
 ///                    to stderr, where they cannot perturb that
 ///                    determinism contract.
 ///   --threads N      worker threads for --batch / --serve (default 1 for
-///                    --batch, 4 for --serve)
+///                    --batch, 4 for --serve; at most
+///                    serve::kMaxWorkers = 256)
 ///   --serve          run as a persistent compile daemon: JSON-lines
 ///                    requests on stdin (responses on stdout) and on any
 ///                    socket from --socket/--listen, compiled by a worker
@@ -71,8 +72,8 @@
 ///                    exit 0. A second signal aborts immediately.
 ///   --socket <path>  (with --serve) also listen on this Unix socket
 ///   --listen <port>  (with --serve) also listen on 127.0.0.1:<port>
-///                    (0 = OS-assigned; the bound port is announced on
-///                    stderr)
+///                    (0 = OS-assigned, at most 65535; the bound port is
+///                    announced on stderr)
 ///   --cache-mb N     compiled-program cache budget in MiB for --serve
 ///                    and --batch (default 256; 0 disables). Batch
 ///                    manifests with duplicate (circuit, options) pairs
@@ -92,8 +93,10 @@
 ///   --stats          print statistics to stderr
 ///
 /// Exit codes: 0 success, 1 request failed (I/O, compilation,
-/// verification), 2 usage or contradictory options (each rejected with a
-/// diagnostic from plim::Options::validate()). Warnings — validation
+/// verification), 2 usage — including a numeric flag that is not a
+/// plain decimal number or exceeds its bound (32 bits unless stated) —
+/// or contradictory options (each rejected with a diagnostic from
+/// plim::Options::validate()). Warnings — validation
 /// warnings and run-produced ones like rram-cap-degraded — go to stderr
 /// and never change the exit code; only errors exit non-zero.
 
@@ -118,6 +121,9 @@
 #include "util/trace.hpp"
 
 namespace {
+
+/// Highest TCP port `--listen` accepts.
+constexpr std::uint32_t kMaxPort = 65535;
 
 int usage() {
   std::cerr << "usage: plimc (--blif <file> | --benchmark <name> | "
@@ -265,7 +271,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--threads") {
       if (const char* v = next()) {
-        threads = static_cast<unsigned>(std::stoul(v));
+        threads = plim::arch::parse_u32(v, plim::serve::kMaxWorkers);
         threads_set = true;
       } else {
         return usage();
@@ -280,13 +286,13 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--listen") {
       if (const char* v = next()) {
-        listen_port = static_cast<int>(std::stoul(v));
+        listen_port = static_cast<int>(plim::arch::parse_u32(v, kMaxPort));
       } else {
         return usage();
       }
     } else if (arg == "--cache-mb") {
       if (const char* v = next()) {
-        cache_mb = static_cast<std::size_t>(std::stoul(v));
+        cache_mb = plim::arch::parse_u32(v);
       } else {
         return usage();
       }
@@ -298,7 +304,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--effort") {
       if (const char* v = next()) {
-        options.rewrite.effort = static_cast<unsigned>(std::stoul(v));
+        options.rewrite.effort = plim::arch::parse_u32(v);
       } else {
         return usage();
       }
@@ -320,7 +326,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--cap") {
       if (const char* v = next()) {
-        options.compile.rram_cap = static_cast<std::uint32_t>(std::stoul(v));
+        options.compile.rram_cap = plim::arch::parse_u32(v);
       } else {
         return usage();
       }
@@ -328,7 +334,7 @@ int main(int argc, char** argv) {
       options.compile.degradation.enabled = true;
     } else if (arg == "--banks") {
       if (const char* v = next()) {
-        options.banks = static_cast<std::uint32_t>(std::stoul(v));
+        options.banks = plim::arch::parse_u32(v);
       } else {
         return usage();
       }
@@ -338,15 +344,13 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--bus-width") {
       if (const char* v = next()) {
-        options.schedule.cost.bus_width =
-            static_cast<std::uint32_t>(std::stoul(v));
+        options.schedule.cost.bus_width = plim::arch::parse_u32(v);
       } else {
         return usage();
       }
     } else if (arg == "--refine-passes") {
       if (const char* v = next()) {
-        options.schedule.refine_passes =
-            static_cast<std::uint32_t>(std::stoul(v));
+        options.schedule.refine_passes = plim::arch::parse_u32(v);
       } else {
         return usage();
       }
@@ -364,8 +368,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--refine-resync") {
       if (const char* v = next()) {
-        options.schedule.refine_resync =
-            static_cast<std::uint32_t>(std::stoul(v));
+        options.schedule.refine_resync = plim::arch::parse_u32(v);
       } else {
         return usage();
       }
@@ -430,7 +433,7 @@ int main(int argc, char** argv) {
     }
   }
   } catch (const std::exception&) {
-    return usage();  // malformed numeric argument
+    return usage();  // malformed or out-of-range numeric argument
   }
   options.verify.enabled = verify;
   options.trace.enabled = !trace_path.empty();

@@ -222,9 +222,11 @@ std::vector<std::uint64_t> Machine::run_decoupled_words(
   // sync tokens and on deadlock. The arbiter width is the machine's when
   // set, else the program's declared bus.
   const auto width = bus_width_ > 0 ? bus_width_ : program.bus_width();
+  const sched::StreamView view(program);
   sched::DecoupledTiming computed;
   if (precomputed == nullptr) {
-    computed = sched::decoupled_timing(program, width, phases_per_instruction);
+    computed = sched::decoupled_timing(program, view, width,
+                                       phases_per_instruction);
     // Cycle-level per-bank timeline (no-op while tracing is disabled).
     // Only for timing computed here: callers passing a precomputed
     // timing (sched::verify re-runs the program once per round) already
@@ -262,25 +264,8 @@ std::vector<std::uint64_t> Machine::run_decoupled_words(
   // and its order breaks start-time ties producer-first (lockstep step,
   // then bank), so applying whole instructions in `timing.order` is
   // equivalent to the phase-interleaved hardware execution.
-  // (A flat per-bank instruction table, not sched::bank_streams — the
-  // StreamOp token annotations would cost two vector allocations per
-  // instruction on a path verification runs many times.)
-  std::vector<std::vector<Instruction>> streams(program.num_banks());
-  {
-    const auto lens = program.bank_stream_lengths();
-    for (std::uint32_t b = 0; b < program.num_banks(); ++b) {
-      streams[b].reserve(lens[b]);
-    }
-    for (std::uint32_t s = 0; s < program.num_steps(); ++s) {
-      for (const auto& slot : program.step(s)) {
-        if (slot.bank < program.num_banks()) {
-          streams[slot.bank].push_back(slot.instr);
-        }
-      }
-    }
-  }
   for (const auto& [bank, pos] : timing.order) {
-    const auto& ins = streams[bank][pos];
+    const auto& ins = view.slot[view.id(bank, pos)].instr;
     const std::uint64_t a = read(ins.a);
     const std::uint64_t b = read(ins.b);
     cells[ins.z] = rm3_words(a, b, cells[ins.z]);

@@ -80,7 +80,7 @@ Operand parse_operand(const std::string& token,
   return Operand::input(it->second);
 }
 
-std::uint32_t parse_u32(const std::string& token) {
+std::uint32_t parse_u32(const std::string& token, std::uint32_t max) {
   std::uint32_t value = 0;
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, value);
@@ -89,6 +89,10 @@ std::uint32_t parse_u32(const std::string& token) {
   }
   if (ec != std::errc() || ptr != end) {
     throw std::runtime_error("malformed number '" + token + "'");
+  }
+  if (value > max) {
+    throw std::runtime_error("number above " + std::to_string(max) + ": '" +
+                             token + "'");
   }
   return value;
 }

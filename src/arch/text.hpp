@@ -39,10 +39,11 @@ void print_operand(std::ostream& os, Operand op,
     const std::string& token,
     const std::map<std::string, std::uint32_t>& inputs);
 
-/// Parses a decimal listing number (digits only) into 32 bits. Throws
-/// std::runtime_error when `token` is malformed or exceeds UINT32_MAX —
-/// a listing number never wraps around.
-[[nodiscard]] std::uint32_t parse_u32(const std::string& token);
+/// Parses a decimal number (digits only) into 32 bits — listing numbers
+/// and numeric command-line flags alike. Throws std::runtime_error when
+/// `token` is malformed or exceeds `max` — a number never wraps around.
+[[nodiscard]] std::uint32_t parse_u32(const std::string& token,
+                                      std::uint32_t max = UINT32_MAX);
 
 /// Strips leading/trailing listing whitespace (spaces, tabs, '\r').
 [[nodiscard]] std::string trim(const std::string& s);

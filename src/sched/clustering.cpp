@@ -73,9 +73,9 @@ std::vector<std::uint32_t> cluster_segments(const DependenceGraph& graph,
   const auto n = graph.num_instructions();
   const auto num_segments = graph.num_segments();
 
-  std::vector<std::uint32_t> seg_size(num_segments, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ++seg_size[graph.segment_of(i)];
+  std::vector<std::uint32_t> seg_size(num_segments);
+  for (std::uint32_t s = 0; s < num_segments; ++s) {
+    seg_size[s] = graph.segment_size(s);
   }
 
   // Producer→consumer operand reads between segments, one pair per read:

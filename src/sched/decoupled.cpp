@@ -18,72 +18,6 @@ namespace {
 constexpr std::uint32_t kPhases = arch::Machine::phases_per_instruction;
 constexpr std::uint32_t kWritePhase = kPhases - 1;
 
-/// Flattened per-bank streams: global op id = off[bank] + pos, ids of
-/// one bank are contiguous and in step order.
-struct FlatStreams {
-  std::uint32_t banks = 0;
-  std::uint32_t total = 0;
-  std::vector<std::uint32_t> off;       ///< banks + 1 offsets
-  std::vector<Slot> slot;               ///< by global id
-  std::vector<std::uint32_t> step_of;   ///< by global id
-  std::vector<std::uint32_t> bank_of;   ///< by global id
-
-  [[nodiscard]] std::uint32_t id(std::uint32_t bank, std::uint32_t pos) const {
-    return off[bank] + pos;
-  }
-  [[nodiscard]] std::uint32_t len(std::uint32_t bank) const {
-    return off[bank + 1] - off[bank];
-  }
-};
-
-FlatStreams flatten(const ParallelProgram& p) {
-  FlatStreams fs;
-  fs.banks = p.num_banks();
-  fs.off.assign(fs.banks + 1, 0);
-  for (std::uint32_t s = 0; s < p.num_steps(); ++s) {
-    for (const auto& slot : p.step(s)) {
-      if (slot.bank < fs.banks) {
-        ++fs.off[slot.bank + 1];
-      }
-    }
-  }
-  for (std::uint32_t b = 0; b < fs.banks; ++b) {
-    fs.off[b + 1] += fs.off[b];
-  }
-  fs.total = fs.off[fs.banks];
-  fs.slot.resize(fs.total);
-  fs.step_of.resize(fs.total);
-  fs.bank_of.resize(fs.total);
-  auto cursor = fs.off;
-  for (std::uint32_t s = 0; s < p.num_steps(); ++s) {
-    for (const auto& slot : p.step(s)) {
-      if (slot.bank >= fs.banks) {
-        continue;  // malformed slot; validate() reports it separately
-      }
-      const auto gid = cursor[slot.bank]++;
-      fs.slot[gid] = slot;
-      fs.step_of[gid] = s;
-      fs.bank_of[gid] = slot.bank;
-    }
-  }
-  return fs;
-}
-
-/// Whether the op reads at least one RRAM cell outside its own bank — the
-/// ops that occupy the shared bus and need cross-bank ordering.
-bool reads_remote(const ParallelProgram& p, const Slot& slot) {
-  if (slot.bank >= p.num_banks()) {
-    return false;
-  }
-  const auto [begin, end] = p.bank_range(slot.bank);
-  for (const auto op : {slot.instr.a, slot.instr.b}) {
-    if (op.is_rram() && (op.address() < begin || op.address() >= end)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Every cross-bank ordering the step schedule implies: for each remote
 /// read at step s of cell c, the last write of c before s must complete
 /// first (RAW) and the first write of c after s must wait for the read
@@ -98,14 +32,14 @@ bool reads_remote(const ParallelProgram& p, const Slot& slot) {
 /// Requirements equal up to phases are merged to the strictest pair
 /// (latest signal phase, earliest wait phase).
 std::vector<SyncEdge> required_edges(const ParallelProgram& p,
-                                     const FlatStreams& fs) {
+                                     const StreamView& view) {
   const auto cells = p.num_rrams();
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> writes(
-      cells);  // per cell: (step, global id), step-sorted
-  for (std::uint32_t gid = 0; gid < fs.total; ++gid) {
-    const auto z = fs.slot[gid].instr.z;
+      cells);  // per cell: (step, op id), step-sorted
+  for (std::uint32_t gid = 0; gid < view.size(); ++gid) {
+    const auto z = view.slot[gid].instr.z;
     if (z < cells) {
-      writes[z].emplace_back(fs.step_of[gid], gid);
+      writes[z].emplace_back(view.step_of[gid], gid);
     }
   }
   for (auto& w : writes) {
@@ -113,13 +47,16 @@ std::vector<SyncEdge> required_edges(const ParallelProgram& p,
   }
 
   std::vector<SyncEdge> req;
-  for (std::uint32_t b = 0; b < fs.banks; ++b) {
+  for (std::uint32_t b = 0; b < view.banks; ++b) {
     const auto [begin, end] = p.bank_range(b);
-    for (std::uint32_t pos = 0; pos < fs.len(b); ++pos) {
-      const auto gid = fs.id(b, pos);
-      const auto s = fs.step_of[gid];
-      const arch::Operand operands[2] = {fs.slot[gid].instr.a,
-                                         fs.slot[gid].instr.b};
+    for (std::uint32_t pos = 0; pos < view.len(b); ++pos) {
+      const auto gid = view.id(b, pos);
+      if (!view.uses_bus[gid]) {
+        continue;  // only remote reads carry cross-bank hazards
+      }
+      const auto s = view.step_of[gid];
+      const arch::Operand operands[2] = {view.slot[gid].instr.a,
+                                         view.slot[gid].instr.b};
       for (std::uint32_t oi = 0; oi < 2; ++oi) {
         const auto op = operands[oi];
         if (!op.is_rram()) {
@@ -137,10 +74,9 @@ std::vector<SyncEdge> required_edges(const ParallelProgram& p,
                                    std::make_pair(s, std::uint32_t{0}));
         if (it != w.begin()) {
           const auto wg = std::prev(it)->second;
-          const auto wb = fs.bank_of[wg];
+          const auto wb = view.bank_of[wg];
           if (wb != b) {
-            req.push_back(
-                {wb, wg - fs.off[wb], b, pos, kWritePhase, read_phase});
+            req.push_back({wb, view.pos(wg), b, pos, kWritePhase, read_phase});
           }
         }
         // WAR: the cell's next overwrite waits on this read.
@@ -148,10 +84,9 @@ std::vector<SyncEdge> required_edges(const ParallelProgram& p,
                               std::make_pair(s + 1, std::uint32_t{0}));
         if (it != w.end()) {
           const auto wg = it->second;
-          const auto wb = fs.bank_of[wg];
+          const auto wb = view.bank_of[wg];
           if (wb != b) {
-            req.push_back(
-                {b, pos, wb, wg - fs.off[wb], read_phase, kWritePhase});
+            req.push_back({b, pos, wb, view.pos(wg), read_phase, kWritePhase});
           }
         }
       }
@@ -185,33 +120,42 @@ std::vector<SyncEdge> required_edges(const ParallelProgram& p,
 
 }  // namespace
 
-std::vector<std::vector<StreamOp>> bank_streams(const ParallelProgram& p) {
-  const auto fs = flatten(p);
-  std::vector<std::vector<StreamOp>> streams(fs.banks);
-  for (std::uint32_t b = 0; b < fs.banks; ++b) {
-    streams[b].resize(fs.len(b));
-    for (std::uint32_t pos = 0; pos < fs.len(b); ++pos) {
-      const auto gid = fs.id(b, pos);
-      streams[b][pos].slot = fs.slot[gid];
-      streams[b][pos].step = fs.step_of[gid];
+StreamView::StreamView(const ParallelProgram& program)
+    : banks(program.num_banks()), off(banks + 1, 0) {
+  for (std::uint32_t s = 0; s < program.num_steps(); ++s) {
+    for (const auto& slot : program.step(s)) {
+      if (slot.bank < banks) {
+        ++off[slot.bank + 1];
+      }
     }
   }
-  const auto& sync = p.sync_edges();
-  for (std::uint32_t i = 0; i < sync.size(); ++i) {
-    const auto& e = sync[i];
-    if (e.from_bank < fs.banks && e.from_pos < fs.len(e.from_bank)) {
-      streams[e.from_bank][e.from_pos].signals.push_back(i);
-    }
-    if (e.to_bank < fs.banks && e.to_pos < fs.len(e.to_bank)) {
-      streams[e.to_bank][e.to_pos].waits.push_back(i);
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    off[b + 1] += off[b];
+  }
+  const auto total = off[banks];
+  slot.resize(total);
+  step_of.resize(total);
+  bank_of.resize(total);
+  uses_bus.resize(total);
+  order.reserve(total);
+  auto cursor = off;
+  for (std::uint32_t s = 0; s < program.num_steps(); ++s) {
+    for (const auto& sl : program.step(s)) {
+      if (sl.bank >= banks) {
+        continue;  // malformed slot; validate() reports it separately
+      }
+      const auto i = cursor[sl.bank]++;
+      slot[i] = sl;
+      step_of[i] = s;
+      bank_of[i] = sl.bank;
+      uses_bus[i] = program.uses_bus(sl);
+      order.push_back(i);
     }
   }
-  return streams;
 }
 
 void derive_sync(ParallelProgram& program) {
-  const auto fs = flatten(program);
-  auto req = required_edges(program, fs);
+  auto req = required_edges(program, StreamView(program));
 
   // Pareto frontier per ordered bank pair: a requirement is implied by
   // one that signals at a later-or-equal position and waits at an
@@ -275,25 +219,28 @@ void derive_sync(ParallelProgram& program) {
 }
 
 std::string check_sync(const ParallelProgram& program) {
-  const auto fs = flatten(program);
+  return check_sync(program, StreamView(program));
+}
+
+std::string check_sync(const ParallelProgram& program, const StreamView& view) {
   const auto& sync = program.sync_edges();
   const auto token = [](std::size_t i) {
     return "sync token t" + std::to_string(i + 1);
   };
   for (std::size_t i = 0; i < sync.size(); ++i) {
     const auto& e = sync[i];
-    if (e.from_bank >= fs.banks || e.to_bank >= fs.banks) {
+    if (e.from_bank >= view.banks || e.to_bank >= view.banks) {
       return token(i) + ": no such bank";
     }
     if (e.from_bank == e.to_bank) {
       return token(i) + ": connects bank " + std::to_string(e.from_bank) +
              " to itself";
     }
-    if (e.from_pos >= fs.len(e.from_bank)) {
+    if (e.from_pos >= view.len(e.from_bank)) {
       return token(i) + ": signal position " + std::to_string(e.from_pos + 1) +
              " beyond bank " + std::to_string(e.from_bank) + "'s stream";
     }
-    if (e.to_pos >= fs.len(e.to_bank)) {
+    if (e.to_pos >= view.len(e.to_bank)) {
       return token(i) + ": wait position " + std::to_string(e.to_pos + 1) +
              " beyond bank " + std::to_string(e.to_bank) + "'s stream";
     }
@@ -315,24 +262,24 @@ std::string check_sync(const ParallelProgram& program) {
   // decoupled_timing() builds — the timing run is what a cycle would
   // actually hang.)
   {
-    std::vector<std::uint32_t> indeg(fs.total, 0);
+    std::vector<std::uint32_t> indeg(view.size(), 0);
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;  // from → to
-    edges.reserve(fs.total + sync.size());
-    for (std::uint32_t b = 0; b < fs.banks; ++b) {
-      for (std::uint32_t pos = 1; pos < fs.len(b); ++pos) {
-        edges.emplace_back(fs.id(b, pos - 1), fs.id(b, pos));
+    edges.reserve(view.size() + sync.size());
+    for (std::uint32_t b = 0; b < view.banks; ++b) {
+      for (std::uint32_t pos = 1; pos < view.len(b); ++pos) {
+        edges.emplace_back(view.id(b, pos - 1), view.id(b, pos));
       }
     }
     for (const auto& e : sync) {
-      edges.emplace_back(fs.id(e.from_bank, e.from_pos),
-                         fs.id(e.to_bank, e.to_pos));
+      edges.emplace_back(view.id(e.from_bank, e.from_pos),
+                         view.id(e.to_bank, e.to_pos));
     }
-    std::vector<std::uint32_t> succ_off(fs.total + 1, 0);
+    std::vector<std::uint32_t> succ_off(view.size() + 1, 0);
     for (const auto& [from, to] : edges) {
       ++succ_off[from + 1];
       ++indeg[to];
     }
-    for (std::uint32_t i = 0; i < fs.total; ++i) {
+    for (std::uint32_t i = 0; i < view.size(); ++i) {
       succ_off[i + 1] += succ_off[i];
     }
     std::vector<std::uint32_t> succ(edges.size());
@@ -343,8 +290,8 @@ std::string check_sync(const ParallelProgram& program) {
       }
     }
     std::vector<std::uint32_t> queue;
-    queue.reserve(fs.total);
-    for (std::uint32_t i = 0; i < fs.total; ++i) {
+    queue.reserve(view.size());
+    for (std::uint32_t i = 0; i < view.size(); ++i) {
       if (indeg[i] == 0) {
         queue.push_back(i);
       }
@@ -358,7 +305,7 @@ std::string check_sync(const ParallelProgram& program) {
         }
       }
     }
-    if (queue.size() != fs.total) {
+    if (queue.size() != view.size()) {
       return "synchronization deadlock: bank streams and sync tokens form a "
              "cycle";
     }
@@ -371,7 +318,7 @@ std::string check_sync(const ParallelProgram& program) {
   // covers any phase — the stream's phases − 1 issue cadence dominates a
   // single instruction's phase offsets — while a position tie requires
   // the token's signal phase to be ≥ (wait phase ≤) the hazard's.
-  const auto req = required_edges(program, fs);
+  const auto req = required_edges(program, view);
   if (req.empty()) {
     return {};
   }
@@ -385,9 +332,9 @@ std::string check_sync(const ParallelProgram& program) {
   };
   const auto wait_key = signal_key;
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> stored(
-      std::size_t{fs.banks} * fs.banks);
+      std::size_t{view.banks} * view.banks);
   for (const auto& e : sync) {
-    stored[std::size_t{e.from_bank} * fs.banks + e.to_bank].emplace_back(
+    stored[std::size_t{e.from_bank} * view.banks + e.to_bank].emplace_back(
         signal_key(e.from_pos, e.from_phase), wait_key(e.to_pos, e.to_phase));
   }
   std::vector<std::vector<std::uint64_t>> suffix_min(stored.size());
@@ -403,7 +350,7 @@ std::string check_sync(const ParallelProgram& program) {
     }
   }
   for (const auto& r : req) {
-    const auto k = std::size_t{r.from_bank} * fs.banks + r.to_bank;
+    const auto k = std::size_t{r.from_bank} * view.banks + r.to_bank;
     const auto& list = stored[k];
     const auto it = std::lower_bound(
         list.begin(), list.end(),
@@ -423,23 +370,25 @@ std::string check_sync(const ParallelProgram& program) {
 DecoupledTiming decoupled_timing(const ParallelProgram& program,
                                  std::uint32_t bus_width,
                                  std::uint64_t phases_per_instruction) {
-  const auto fs = flatten(program);
+  return decoupled_timing(program, StreamView(program), bus_width,
+                          phases_per_instruction);
+}
+
+DecoupledTiming decoupled_timing(const ParallelProgram& program,
+                                 const StreamView& view,
+                                 std::uint32_t bus_width,
+                                 std::uint64_t phases_per_instruction) {
   const auto phases = phases_per_instruction;
   DecoupledTiming t;
-  t.bank_busy_cycles.assign(fs.banks, 0);
-  t.bank_idle_cycles.assign(fs.banks, 0);
-  t.bank_finish_cycles.assign(fs.banks, 0);
-  if (fs.total == 0) {
+  t.bank_busy_cycles.assign(view.banks, 0);
+  t.bank_idle_cycles.assign(view.banks, 0);
+  t.bank_finish_cycles.assign(view.banks, 0);
+  if (view.size() == 0) {
     return t;
   }
 
-  std::vector<bool> uses_bus(fs.total, false);
-  bool any_remote = false;
-  for (std::uint32_t gid = 0; gid < fs.total; ++gid) {
-    uses_bus[gid] = reads_remote(program, fs.slot[gid]);
-    any_remote = any_remote || uses_bus[gid];
-  }
-  if (any_remote) {
+  const auto& uses_bus = view.uses_bus;
+  if (std::find(uses_bus.begin(), uses_bus.end(), true) != uses_bus.end()) {
     if (!program.has_sync()) {
       throw std::logic_error(
           "decoupled execution: program has cross-bank reads but no sync "
@@ -449,7 +398,7 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
     // a token set that misses a hazard would make the execution racy
     // (the functional simulator follows these start times), so the full
     // structural + deadlock + coverage check gates every timing run.
-    if (const auto err = check_sync(program); !err.empty()) {
+    if (const auto err = check_sync(program, view); !err.empty()) {
       throw std::logic_error("decoupled execution: " + err);
     }
   }
@@ -485,51 +434,44 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
     EdgeKind kind;
   };
   std::vector<Edge> edges;
-  edges.reserve(fs.total + program.sync_edges().size());
-  for (std::uint32_t b = 0; b < fs.banks; ++b) {
-    for (std::uint32_t pos = 1; pos < fs.len(b); ++pos) {
-      edges.push_back({fs.id(b, pos - 1), fs.id(b, pos), stream_latency,
+  edges.reserve(view.size() + program.sync_edges().size());
+  for (std::uint32_t b = 0; b < view.banks; ++b) {
+    for (std::uint32_t pos = 1; pos < view.len(b); ++pos) {
+      edges.push_back({view.id(b, pos - 1), view.id(b, pos), stream_latency,
                        EdgeKind::stream});
     }
   }
   const auto max_phase = phases > 0 ? phases - 1 : 0;
   for (const auto& e : program.sync_edges()) {
-    if (e.from_bank < fs.banks && e.to_bank < fs.banks &&
-        e.from_pos < fs.len(e.from_bank) && e.to_pos < fs.len(e.to_bank)) {
+    if (e.from_bank < view.banks && e.to_bank < view.banks &&
+        e.from_pos < view.len(e.from_bank) && e.to_pos < view.len(e.to_bank)) {
       const auto fp = std::min<std::uint64_t>(e.from_phase, max_phase);
       const auto tp = std::min<std::uint64_t>(e.to_phase, max_phase);
       const auto latency = fp + 1 > tp ? fp + 1 - tp : 0;
-      edges.push_back({fs.id(e.from_bank, e.from_pos),
-                       fs.id(e.to_bank, e.to_pos), latency, EdgeKind::sync});
+      edges.push_back({view.id(e.from_bank, e.from_pos),
+                       view.id(e.to_bank, e.to_pos), latency, EdgeKind::sync});
     }
   }
   if (bus_width > 0) {
-    // Bus ops in (step, bank) program order — the arbiter's grant order.
-    std::vector<std::uint32_t> bus_order;
-    std::vector<std::uint32_t> cursor(fs.banks, 0);
-    for (std::uint32_t s = 0; s < program.num_steps(); ++s) {
-      for (const auto& slot : program.step(s)) {
-        if (slot.bank >= fs.banks) {
-          continue;
+    // Bus ops chained in program order — the arbiter's grant order.
+    auto prev = view.size();
+    for (const auto gid : view.order) {
+      if (uses_bus[gid]) {
+        if (prev != view.size()) {
+          edges.push_back({prev, gid, 0, EdgeKind::bus});
         }
-        const auto gid = fs.id(slot.bank, cursor[slot.bank]++);
-        if (uses_bus[gid]) {
-          bus_order.push_back(gid);
-        }
+        prev = gid;
       }
-    }
-    for (std::size_t i = 1; i < bus_order.size(); ++i) {
-      edges.push_back({bus_order[i - 1], bus_order[i], 0, EdgeKind::bus});
     }
   }
 
-  std::vector<std::uint32_t> indeg(fs.total, 0);
-  std::vector<std::uint32_t> succ_off(fs.total + 1, 0);
+  std::vector<std::uint32_t> indeg(view.size(), 0);
+  std::vector<std::uint32_t> succ_off(view.size() + 1, 0);
   for (const auto& e : edges) {
     ++succ_off[e.from + 1];
     ++indeg[e.to];
   }
-  for (std::uint32_t i = 0; i < fs.total; ++i) {
+  for (std::uint32_t i = 0; i < view.size(); ++i) {
     succ_off[i + 1] += succ_off[i];
   }
   struct Succ {
@@ -550,20 +492,20 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
   // attributed as bus stall, not dependence. Bus-order chain edges make
   // every bus op finalize after its predecessor in grant order, so the
   // server heap is consumed in program order.
-  std::vector<std::uint64_t> dep_ready(fs.total, 0);
-  std::vector<std::uint64_t> bus_floor(fs.total, 0);
-  std::vector<std::uint64_t> start(fs.total, 0);
+  std::vector<std::uint64_t> dep_ready(view.size(), 0);
+  std::vector<std::uint64_t> bus_floor(view.size(), 0);
+  std::vector<std::uint64_t> start(view.size(), 0);
   // Contention-relaxed twin of the traversal: the same event graph
   // (stream, sync, and the arbiter's in-order grant chain) without the
   // width-limited server pool. Its critical path can only be shorter,
   // so the resulting span is an honest makespan lower bound.
-  std::vector<std::uint64_t> dep_ready_lb(fs.total, 0);
-  std::vector<std::uint64_t> bus_floor_lb(fs.total, 0);
+  std::vector<std::uint64_t> dep_ready_lb(view.size(), 0);
+  std::vector<std::uint64_t> bus_floor_lb(view.size(), 0);
   std::uint64_t lb_span = 0;
   // Earliest issue implied by the bank's own pipelined stream alone; any
   // dependency readiness beyond it came through sync tokens, which is
   // how the per-op wait splits into sync_wait vs bus_wait below.
-  std::vector<std::uint64_t> stream_ready(fs.total, 0);
+  std::vector<std::uint64_t> stream_ready(view.size(), 0);
   std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
                       std::greater<>>
       servers;
@@ -571,8 +513,8 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
     servers.push(0);
   }
   std::vector<std::uint32_t> queue;
-  queue.reserve(fs.total);
-  for (std::uint32_t i = 0; i < fs.total; ++i) {
+  queue.reserve(view.size());
+  for (std::uint32_t i = 0; i < view.size(); ++i) {
     if (indeg[i] == 0) {
       queue.push_back(i);
     }
@@ -593,7 +535,7 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
     const auto finish = s + phases;
     const auto s_lb = std::max(dep_ready_lb[i], bus_floor_lb[i]);
     lb_span = std::max(lb_span, s_lb + phases);
-    const auto b = fs.bank_of[i];
+    const auto b = view.bank_of[i];
     t.bank_finish_cycles[b] = std::max(t.bank_finish_cycles[b], finish);
     for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
       const auto [j, latency, kind] = succ[k];
@@ -612,20 +554,20 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
       }
     }
   }
-  if (queue.size() != fs.total) {
+  if (queue.size() != view.size()) {
     throw std::logic_error(
         "decoupled execution deadlocked: bank streams and sync tokens form "
         "a cycle");
   }
 
-  for (std::uint32_t b = 0; b < fs.banks; ++b) {
+  for (std::uint32_t b = 0; b < view.banks; ++b) {
     // Busy = the dense pipelined span of the bank's own stream (its
     // controller halts after the last op, it does not tick until the
     // global makespan); idle = the wait cycles actually burned between
     // issue opportunities.
     t.bank_busy_cycles[b] =
-        fs.len(b) > 0
-            ? std::uint64_t{fs.len(b) - 1} * stream_latency + phases
+        view.len(b) > 0
+            ? std::uint64_t{view.len(b) - 1} * stream_latency + phases
             : 0;
     t.bank_idle_cycles[b] = t.bank_finish_cycles[b] - t.bank_busy_cycles[b];
     t.makespan_cycles = std::max(t.makespan_cycles, t.bank_finish_cycles[b]);
@@ -635,10 +577,8 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
   // `bus_width` servers for `phases` cycles, all inside the makespan.
   t.makespan_lower_bound = lb_span;
   if (bus_width > 0) {
-    std::uint64_t bus_ops = 0;
-    for (std::uint32_t i = 0; i < fs.total; ++i) {
-      bus_ops += uses_bus[i] ? 1 : 0;
-    }
+    const std::uint64_t bus_ops =
+        std::count(uses_bus.begin(), uses_bus.end(), true);
     t.makespan_lower_bound = std::max(
         t.makespan_lower_bound, (bus_ops * phases + bus_width - 1) / bus_width);
   }
@@ -652,26 +592,25 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
   // producer-first via the step key. That is what lets a phase-level
   // consumer *launch* before its producer retires while the simulator
   // still applies whole ops in a hazard-respecting order.
-  std::vector<std::uint32_t> order(fs.total);
-  for (std::uint32_t i = 0; i < fs.total; ++i) {
+  std::vector<std::uint32_t> order(view.size());
+  for (std::uint32_t i = 0; i < view.size(); ++i) {
     order[i] = i;
   }
   std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
     if (start[x] != start[y]) {
       return start[x] < start[y];
     }
-    if (fs.step_of[x] != fs.step_of[y]) {
-      return fs.step_of[x] < fs.step_of[y];
+    if (view.step_of[x] != view.step_of[y]) {
+      return view.step_of[x] < view.step_of[y];
     }
-    return fs.bank_of[x] < fs.bank_of[y];
+    return view.bank_of[x] < view.bank_of[y];
   });
-  t.order.reserve(fs.total);
-  t.start_cycles.reserve(fs.total);
-  t.sync_wait_cycles.reserve(fs.total);
-  t.bus_wait_cycles.reserve(fs.total);
+  t.order.reserve(view.size());
+  t.start_cycles.reserve(view.size());
+  t.sync_wait_cycles.reserve(view.size());
+  t.bus_wait_cycles.reserve(view.size());
   for (const auto gid : order) {
-    const auto b = fs.bank_of[gid];
-    t.order.emplace_back(b, gid - fs.off[b]);
+    t.order.emplace_back(view.bank_of[gid], view.pos(gid));
     t.start_cycles.push_back(start[gid]);
     // The wait before issue splits at dep_ready: up to there the op was
     // held by sync tokens (readiness beyond its own stream's pipelining),

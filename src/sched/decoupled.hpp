@@ -15,20 +15,40 @@ namespace plim::sched {
 /// the shared inter-bank bus. The lockstep step view stays the canonical
 /// storage (ParallelProgram); everything here is derived from it.
 
-/// One op of a bank's stream: the instruction plus the sync tokens the
-/// bank's controller handles around it. `waits`/`signals` hold indices
-/// into ParallelProgram::sync_edges(); waits are acquired before the
-/// instruction issues, signals fire once it completes.
-struct StreamOp {
-  Slot slot;
-  std::uint32_t step = 0;  ///< lockstep step the op was packed into
-  std::vector<std::uint32_t> waits;
-  std::vector<std::uint32_t> signals;
-};
+/// The per-bank stream view of a program: its slots regrouped into each
+/// bank's serial stream — the one flattening every decoupled consumer
+/// reads (sync derivation and checking, timing, stream reordering, the
+/// machine's decoupled run). Op ids are bank-major: bank b's stream is
+/// ids [off[b], off[b + 1]) in step order, so id = off[b] + position and
+/// SyncEdge positions index it directly. Slots naming a nonexistent bank
+/// are left out (validate() reports them).
+struct StreamView {
+  explicit StreamView(const ParallelProgram& program);
 
-/// Per-bank serial streams with the program's sync tokens attached.
-[[nodiscard]] std::vector<std::vector<StreamOp>> bank_streams(
-    const ParallelProgram& program);
+  [[nodiscard]] std::uint32_t size() const noexcept {
+    return static_cast<std::uint32_t>(slot.size());
+  }
+  [[nodiscard]] std::uint32_t len(std::uint32_t bank) const {
+    return off[bank + 1] - off[bank];
+  }
+  [[nodiscard]] std::uint32_t id(std::uint32_t bank, std::uint32_t pos) const {
+    return off[bank] + pos;
+  }
+  [[nodiscard]] std::uint32_t pos(std::uint32_t id) const {
+    return id - off[bank_of[id]];
+  }
+
+  std::uint32_t banks = 0;
+  std::vector<std::uint32_t> off;      ///< banks + 1 stream offsets
+  std::vector<Slot> slot;              ///< by id
+  std::vector<std::uint32_t> step_of;  ///< by id: lockstep step
+  std::vector<std::uint32_t> bank_of;  ///< by id
+  /// By id: a cross-bank copy (ParallelProgram::uses_bus).
+  std::vector<bool> uses_bus;
+  /// Ids in lockstep program order (step, then bank) — the bus arbiter's
+  /// grant order.
+  std::vector<std::uint32_t> order;
+};
 
 /// Derives and stores the minimal sync-token set for `program`,
 /// replacing any existing tokens. One ordering requirement exists per
@@ -65,6 +85,9 @@ void derive_sync(ParallelProgram& program);
 /// description of the first violation. Called by
 /// ParallelProgram::validate() whenever tokens are present.
 [[nodiscard]] std::string check_sync(const ParallelProgram& program);
+/// check_sync over an already-built view of `program`.
+[[nodiscard]] std::string check_sync(const ParallelProgram& program,
+                                     const StreamView& view);
 
 /// Cycle accounting of one decoupled execution (see decoupled_timing).
 struct DecoupledTiming {
@@ -130,5 +153,9 @@ struct DecoupledTiming {
 [[nodiscard]] DecoupledTiming decoupled_timing(
     const ParallelProgram& program, std::uint32_t bus_width,
     std::uint64_t phases_per_instruction);
+/// decoupled_timing over an already-built view of `program`.
+[[nodiscard]] DecoupledTiming decoupled_timing(
+    const ParallelProgram& program, const StreamView& view,
+    std::uint32_t bus_width, std::uint64_t phases_per_instruction);
 
 }  // namespace plim::sched

@@ -1,6 +1,7 @@
 #include "sched/depgraph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace plim::sched {
 
@@ -102,7 +103,65 @@ DependenceGraph DependenceGraph::build(const arch::Program& program) {
       }
     }
   }
+  g.build_read_graph();
   return g;
+}
+
+void DependenceGraph::build_read_graph() {
+  const auto n = num_instructions();
+  const auto segments = num_segments();
+  segment_size_.assign(segments, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    ++segment_size_[segment_of_[i]];
+  }
+
+  // Distinct (def, reader segment) pairs across segments: a segment
+  // reading one def through both operands still needs one replica.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  pairs.reserve(std::size_t{2} * n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (const auto def : {a_def_[i], b_def_[i]}) {
+      if (def != npos && segment_of_[def] != segment_of_[i]) {
+        pairs.emplace_back(def, segment_of_[i]);
+      }
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  reader_seg_.reserve(pairs.size());
+  for (const auto& [def, s] : pairs) {
+    if (read_def_.empty() || read_def_.back() != def) {
+      read_def_.push_back(def);  // opens def's row
+      reader_off_.push_back(static_cast<std::uint32_t>(reader_seg_.size()));
+    }
+    reader_seg_.push_back(s);
+  }
+  reader_off_.push_back(static_cast<std::uint32_t>(reader_seg_.size()));
+
+  // Per-segment rows, filled in ascending def order (counting sort), so
+  // every row comes out ascending.
+  produced_off_.assign(segments + 1, 0);
+  read_off_.assign(segments + 1, 0);
+  for (std::uint32_t d = 0; d < num_read_defs(); ++d) {
+    ++produced_off_[producer_segment(d) + 1];
+    for (const auto s : reader_segments(d)) {
+      ++read_off_[s + 1];
+    }
+  }
+  for (std::uint32_t s = 0; s < segments; ++s) {
+    produced_off_[s + 1] += produced_off_[s];
+    read_off_[s + 1] += read_off_[s];
+  }
+  produced_def_.resize(num_read_defs());
+  read_def_of_seg_.resize(reader_seg_.size());
+  auto produced_at = produced_off_;
+  auto read_at = read_off_;
+  for (std::uint32_t d = 0; d < num_read_defs(); ++d) {
+    produced_def_[produced_at[producer_segment(d)]++] = d;
+    for (const auto s : reader_segments(d)) {
+      read_def_of_seg_[read_at[s]++] = d;
+    }
+  }
 }
 
 }  // namespace plim::sched

@@ -125,7 +125,52 @@ class DependenceGraph {
     return heights_;
   }
 
+  // ---- cross-segment read graph -----------------------------------------
+  // The reads a bank assignment prices: an operand def read by a segment
+  // other than its producer's is a transfer whenever the two sit in
+  // different banks. Read defs have dense ids in ascending instruction
+  // order; every row below is built once, here, and shared by the
+  // scheduler's seeding, clustering and refinement.
+
+  /// Instructions of segment `s` (its chain length).
+  [[nodiscard]] std::uint32_t segment_size(std::uint32_t s) const {
+    return segment_size_[s];
+  }
+  /// Distinct instructions whose value some other segment reads.
+  [[nodiscard]] std::uint32_t num_read_defs() const noexcept {
+    return static_cast<std::uint32_t>(read_def_.size());
+  }
+  /// Instruction of read def `d`.
+  [[nodiscard]] std::uint32_t read_def(std::uint32_t d) const {
+    return read_def_[d];
+  }
+  [[nodiscard]] std::uint32_t producer_segment(std::uint32_t d) const {
+    return segment_of_[read_def_[d]];
+  }
+  /// Distinct segments other than the producer's reading def `d`,
+  /// ascending.
+  [[nodiscard]] std::span<const std::uint32_t> reader_segments(
+      std::uint32_t d) const {
+    return row(reader_off_, reader_seg_, d);
+  }
+  /// Read defs segment `s` produces / reads from other segments, ascending.
+  [[nodiscard]] std::span<const std::uint32_t> produced_defs(
+      std::uint32_t s) const {
+    return row(produced_off_, produced_def_, s);
+  }
+  [[nodiscard]] std::span<const std::uint32_t> read_defs(
+      std::uint32_t s) const {
+    return row(read_off_, read_def_of_seg_, s);
+  }
+
  private:
+  static std::span<const std::uint32_t> row(
+      const std::vector<std::uint32_t>& off,
+      const std::vector<std::uint32_t>& payload, std::uint32_t k) {
+    return {payload.data() + off[k], payload.data() + off[k + 1]};
+  }
+  void build_read_graph();
+
   std::vector<Dep> dep_flat_;            ///< CSR payload
   std::vector<std::uint32_t> dep_offset_;  ///< CSR offsets (n + 1 entries)
   std::vector<std::uint32_t> a_def_;
@@ -135,6 +180,15 @@ class DependenceGraph {
   std::vector<std::uint32_t> segment_of_;
   std::vector<Segment> segments_;
   std::vector<std::uint32_t> heights_;
+  std::vector<std::uint32_t> segment_size_;
+  std::vector<std::uint32_t> read_def_;  ///< dense read def → instruction
+  // CSR rows: readers per read def, produced / read defs per segment.
+  std::vector<std::uint32_t> reader_off_;
+  std::vector<std::uint32_t> reader_seg_;
+  std::vector<std::uint32_t> produced_off_;
+  std::vector<std::uint32_t> produced_def_;
+  std::vector<std::uint32_t> read_off_;
+  std::vector<std::uint32_t> read_def_of_seg_;
   bool reads_initial_state_ = false;
   std::uint32_t critical_path_ = 0;
   std::uint32_t renamed_critical_path_ = 0;

@@ -10,8 +10,6 @@
 namespace plim::sched {
 
 namespace {
-constexpr std::uint32_t npos = DependenceGraph::npos;
-
 /// Dense pipelined span of a serial stream of `n` ops (a decoupled bank
 /// controller issues every phases − 1 cycles, the last op retires after
 /// the full phases): the unit the makespan model prices loads in.
@@ -23,87 +21,13 @@ std::uint64_t stream_span(std::uint64_t n) {
 
 IncrementalEval::IncrementalEval(const DependenceGraph& graph,
                                  const CostModel& cost, std::uint32_t banks)
-    : banks_(banks), transfer_instructions_(cost.transfer_instructions) {
-  const auto n = graph.num_instructions();
-  const auto num_segments = graph.num_segments();
-  seg_size_.assign(num_segments, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ++seg_size_[graph.segment_of(i)];
-  }
-
-  // Distinct cross-segment (def, reader segment) pairs — the reads whose
-  // transfer cost an assignment decides. Same dedup the expansion's
-  // per-(def, bank) replica cache performs.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  pairs.reserve(std::size_t{2} * n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto s = graph.segment_of(i);
-    for (const auto def : {graph.def_of_a(i), graph.def_of_b(i)}) {
-      if (def != npos && graph.segment_of(def) != s) {
-        pairs.emplace_back(def, s);
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  def_reader_off_.push_back(0);
-  for (std::size_t k = 0; k < pairs.size();) {
-    const auto d = pairs[k].first;
-    def_producer_seg_.push_back(graph.segment_of(d));
-    while (k < pairs.size() && pairs[k].first == d) {
-      def_reader_seg_.push_back(pairs[k].second);
-      ++k;
-    }
-    def_reader_off_.push_back(
-        static_cast<std::uint32_t>(def_reader_seg_.size()));
-  }
-  const auto num_defs = static_cast<std::uint32_t>(def_producer_seg_.size());
-
-  // Per-segment CSR rows: defs produced for / read by other segments.
-  prod_off_.assign(num_segments + 1, 0);
-  for (std::uint32_t d = 0; d < num_defs; ++d) {
-    ++prod_off_[def_producer_seg_[d] + 1];
-  }
-  for (std::uint32_t s = 0; s < num_segments; ++s) {
-    prod_off_[s + 1] += prod_off_[s];
-  }
-  prod_def_.resize(num_defs);
-  {
-    auto cursor = prod_off_;
-    for (std::uint32_t d = 0; d < num_defs; ++d) {
-      prod_def_[cursor[def_producer_seg_[d]]++] = d;
-    }
-  }
-  // (segment, def) read pairs, dedup — a segment reading a def through
-  // both operands still needs one replica.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> seg_reads;
-  seg_reads.reserve(def_reader_seg_.size());
-  for (std::uint32_t d = 0; d < num_defs; ++d) {
-    for (auto k = def_reader_off_[d]; k < def_reader_off_[d + 1]; ++k) {
-      seg_reads.emplace_back(def_reader_seg_[k], d);
-    }
-  }
-  std::sort(seg_reads.begin(), seg_reads.end());
-  read_off_.assign(num_segments + 1, 0);
-  for (const auto& [s, d] : seg_reads) {
-    ++read_off_[s + 1];
-  }
-  for (std::uint32_t s = 0; s < num_segments; ++s) {
-    read_off_[s + 1] += read_off_[s];
-  }
-  read_def_.resize(seg_reads.size());
-  {
-    auto cursor = read_off_;
-    for (const auto& [s, d] : seg_reads) {
-      read_def_[cursor[s]++] = d;
-    }
-  }
-
-  def_mark_.assign(num_defs, 0);
-  old_bank_.assign(num_segments, 0);
-  seg_mark_.assign(num_segments, 0);
-  bank_eff_.assign(banks_, 0);
+    : graph_(graph),
+      banks_(banks),
+      transfer_instructions_(cost.transfer_instructions),
+      bank_eff_(banks, 0),
+      def_mark_(graph.num_read_defs(), 0),
+      old_bank_(graph.num_segments(), 0),
+      seg_mark_(graph.num_segments(), 0) {
   banks_before_.reserve(banks_);
   banks_after_.reserve(banks_);
 }
@@ -111,23 +35,15 @@ IncrementalEval::IncrementalEval(const DependenceGraph& graph,
 void IncrementalEval::resync(const std::vector<std::uint32_t>& seg_bank,
                              const RefineEval& exact) {
   seg_bank_ = seg_bank;
-  const auto num_defs = static_cast<std::uint32_t>(def_producer_seg_.size());
   bank_eff_.assign(banks_, 0);
   for (std::uint32_t s = 0; s < seg_bank_.size(); ++s) {
-    bank_eff_[seg_bank_[s]] += seg_size_[s];
+    bank_eff_[seg_bank_[s]] += graph_.segment_size(s);
   }
-  // One copy (transfer_instructions RM3 ops) per distinct (def, consuming
-  // bank) pair lands in the consuming bank.
-  for (std::uint32_t d = 0; d < num_defs; ++d) {
-    const auto pb = seg_bank_[def_producer_seg_[d]];
-    banks_after_.clear();
-    for (auto k = def_reader_off_[d]; k < def_reader_off_[d + 1]; ++k) {
-      const auto b = seg_bank_[def_reader_seg_[k]];
-      if (b != pb && std::find(banks_after_.begin(), banks_after_.end(), b) ==
-                         banks_after_.end()) {
-        banks_after_.push_back(b);
-        bank_eff_[b] += transfer_instructions_;
-      }
+  const auto bank_of = [&](std::uint32_t s) { return seg_bank_[s]; };
+  for (std::uint32_t d = 0; d < graph_.num_read_defs(); ++d) {
+    consuming_banks(graph_, d, bank_of, banks_after_);
+    for (const auto b : banks_after_) {
+      bank_eff_[b] += transfer_instructions_;
     }
   }
   const auto peak =
@@ -150,7 +66,6 @@ void IncrementalEval::resync(const std::vector<std::uint32_t>& seg_bank,
                     std::max(stream_span(chain_), stream_span(peak)))
           : 0;
   current_ = {exact.steps, exact.transfers, exact.bus_stalls, exact.makespan};
-  anchored_ = true;
 }
 
 void IncrementalEval::compute_delta(const std::vector<std::uint32_t>& trial,
@@ -185,8 +100,8 @@ void IncrementalEval::compute_delta(const std::vector<std::uint32_t>& trial,
     if (to == from) {
       continue;
     }
-    bump(from, -std::int64_t{seg_size_[seg]});
-    bump(to, std::int64_t{seg_size_[seg]});
+    bump(from, -std::int64_t{graph_.segment_size(seg)});
+    bump(to, std::int64_t{graph_.segment_size(seg)});
   }
 
   // Re-cost every def the moved segments produce or read: only these can
@@ -198,23 +113,9 @@ void IncrementalEval::compute_delta(const std::vector<std::uint32_t>& trial,
       return;
     }
     def_mark_[d] = stamp_;
-    const auto pb0 = bank_before(def_producer_seg_[d]);
-    const auto pb1 = trial[def_producer_seg_[d]];
-    banks_before_.clear();
-    banks_after_.clear();
-    for (auto k = def_reader_off_[d]; k < def_reader_off_[d + 1]; ++k) {
-      const auto rs = def_reader_seg_[k];
-      const auto b0 = bank_before(rs);
-      const auto b1 = trial[rs];
-      if (b0 != pb0 && std::find(banks_before_.begin(), banks_before_.end(),
-                                 b0) == banks_before_.end()) {
-        banks_before_.push_back(b0);
-      }
-      if (b1 != pb1 && std::find(banks_after_.begin(), banks_after_.end(),
-                                 b1) == banks_after_.end()) {
-        banks_after_.push_back(b1);
-      }
-    }
+    consuming_banks(graph_, d, bank_before, banks_before_);
+    consuming_banks(
+        graph_, d, [&](std::uint32_t s) { return trial[s]; }, banks_after_);
     out.transfers += static_cast<std::int64_t>(banks_after_.size()) -
                      static_cast<std::int64_t>(banks_before_.size());
     for (const auto b : banks_after_) {
@@ -232,11 +133,11 @@ void IncrementalEval::compute_delta(const std::vector<std::uint32_t>& trial,
   };
   for (const auto& [seg, from] : moved) {
     (void)from;
-    for (auto k = prod_off_[seg]; k < prod_off_[seg + 1]; ++k) {
-      visit_def(prod_def_[k]);
+    for (const auto d : graph_.produced_defs(seg)) {
+      visit_def(d);
     }
-    for (auto k = read_off_[seg]; k < read_off_[seg + 1]; ++k) {
-      visit_def(read_def_[k]);
+    for (const auto d : graph_.read_defs(seg)) {
+      visit_def(d);
     }
   }
 }

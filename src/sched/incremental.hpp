@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -20,8 +21,12 @@ namespace plim::sched {
 /// instructions each bank executes), the expanded program's chain bound,
 /// and the transfer count — and prices a candidate move as a *delta*:
 /// only the moved segments' windows (their sizes plus the defs they read
-/// and produce, via the def→reader-segment CSR) are re-costed, so one
+/// and produce, via DependenceGraph's read graph) are re-costed, so one
 /// trial is O(window) instead of O(program).
+///
+/// It is also the one owner of the refinement load model: the transfer
+/// rule (consuming_banks) and the per-bank effective loads refinement's
+/// candidate generators rank banks by, in both evaluator modes.
 ///
 /// The estimate is a screen, not a truth: `steps` is modelled as the
 /// anchored schedule's packing overhead on top of max(chain bound, peak
@@ -50,10 +55,31 @@ class IncrementalEval {
   /// `from_bank` (its new bank is read from the trial assignment).
   using MovedSeg = std::pair<std::uint32_t, std::uint32_t>;
 
-  /// Builds the static structure (segment sizes, def→reader CSR) in
-  /// O(program). Done once per refinement run.
+  /// Binds the evaluator to `graph`'s cross-segment read graph (which
+  /// must outlive it); allocates only per-def and per-segment scratch.
   IncrementalEval(const DependenceGraph& graph, const CostModel& cost,
                   std::uint32_t banks);
+
+  /// The transfer rule every load and transfer figure of refinement
+  /// follows: read def `d` costs one copy in each distinct bank, other
+  /// than its producer's, that holds one of its reader segments (the
+  /// expansion caches one replica per (def, consuming bank)) — and the
+  /// copy's transfer_instructions land in that consuming bank. Collects
+  /// those banks into `out` under the assignment `bank_of(segment)`.
+  template <class BankOf>
+  static void consuming_banks(const DependenceGraph& graph, std::uint32_t d,
+                              const BankOf& bank_of,
+                              std::vector<std::uint32_t>& out) {
+    const auto producer_bank = bank_of(graph.producer_segment(d));
+    out.clear();
+    for (const auto s : graph.reader_segments(d)) {
+      const auto b = bank_of(s);
+      if (b != producer_bank &&
+          std::find(out.begin(), out.end(), b) == out.end()) {
+        out.push_back(b);
+      }
+    }
+  }
 
   /// Re-anchors on `seg_bank`, whose exact evaluation is `exact`:
   /// recomputes per-bank effective loads from scratch and adopts the
@@ -79,20 +105,12 @@ class IncrementalEval {
   /// estimate-based after commit()s.
   [[nodiscard]] const Estimate& current() const noexcept { return current_; }
 
-  /// True once resync() has anchored the evaluator.
-  [[nodiscard]] bool anchored() const noexcept { return anchored_; }
-
   /// Per-bank effective load (instructions + transfer-copy instructions)
   /// of the current assignment — the throughput-bound view candidate
   /// generators rank banks by.
   [[nodiscard]] const std::vector<std::uint64_t>& effective_loads()
       const noexcept {
     return bank_eff_;
-  }
-
-  /// Instructions of segment `s` (transfer copies excluded).
-  [[nodiscard]] std::uint32_t segment_size(std::uint32_t s) const {
-    return seg_size_[s];
   }
 
  private:
@@ -108,24 +126,11 @@ class IncrementalEval {
                      const std::vector<MovedSeg>& moved, Delta& out) const;
   [[nodiscard]] Estimate apply_delta(const Delta& d) const;
 
+  const DependenceGraph& graph_;
   std::uint32_t banks_ = 0;
   std::uint32_t transfer_instructions_ = 2;
 
-  // Static structure (assignment-independent).
-  std::vector<std::uint32_t> seg_size_;
-  // Distinct cross-segment (def, reader segment) pairs, grouped by def.
-  std::vector<std::uint32_t> def_producer_seg_;  ///< dense def → producer
-  std::vector<std::uint32_t> def_reader_off_;    ///< CSR offsets per def
-  std::vector<std::uint32_t> def_reader_seg_;    ///< CSR payload
-  // Defs each segment produces for / reads from other segments (dense
-  // def indices, CSR over segments).
-  std::vector<std::uint32_t> prod_off_;
-  std::vector<std::uint32_t> prod_def_;
-  std::vector<std::uint32_t> read_off_;
-  std::vector<std::uint32_t> read_def_;
-
   // Current-assignment state.
-  bool anchored_ = false;
   std::vector<std::uint32_t> seg_bank_;   ///< current assignment
   std::vector<std::uint64_t> bank_eff_;   ///< effective load per bank
   Estimate current_;

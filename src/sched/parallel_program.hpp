@@ -148,8 +148,12 @@ class ParallelProgram {
   /// Declared inter-bank bus bandwidth (0 = unbounded).
   [[nodiscard]] std::uint32_t bus_width() const noexcept { return bus_width_; }
 
-  /// Cross-bank copies a step issues: slots reading at least one RRAM
-  /// cell outside their own bank's range (the bus traffic of the step).
+  /// Whether `slot` reads at least one RRAM cell outside its own bank's
+  /// range: a cross-bank copy, which occupies the inter-bank bus and
+  /// needs cross-bank ordering. False for a slot of an undeclared bank.
+  [[nodiscard]] bool uses_bus(const Slot& slot) const;
+
+  /// Cross-bank copies a step issues (the bus traffic of the step).
   [[nodiscard]] std::uint32_t step_bus_ops(std::uint32_t s) const;
 
   /// Explicit cross-bank sync tokens (empty on a purely lockstep
@@ -158,10 +162,6 @@ class ParallelProgram {
     return sync_;
   }
   [[nodiscard]] bool has_sync() const noexcept { return !sync_.empty(); }
-
-  /// Instructions each bank executes — the stream lengths of the
-  /// per-bank decoupled projection.
-  [[nodiscard]] std::vector<std::uint32_t> bank_stream_lengths() const;
 
   [[nodiscard]] std::uint32_t num_instructions() const noexcept;
   [[nodiscard]] std::uint32_t num_transfer_instructions() const noexcept;

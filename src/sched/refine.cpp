@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <optional>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -37,40 +37,28 @@ struct Group {
   bool screened = false;
 };
 
-/// Static, assignment-independent view of the segment/cluster structure:
-/// cluster membership, per-cluster sizes, and the deduplicated
-/// def→reader-segment read graph that transfer estimates walk.
+/// Static, assignment-independent view of the cluster structure:
+/// cluster membership and per-cluster sizes. The read graph transfer
+/// estimates walk is the DependenceGraph's own.
 struct Structure {
-  std::uint32_t banks = 0;
   std::vector<std::uint32_t> cluster_idx;  ///< segment → dense cluster index
   // Cluster membership (CSR over dense cluster indices).
   std::vector<std::uint32_t> member_off;
   std::vector<std::uint32_t> member_seg;
   std::vector<std::uint32_t> cluster_size;  ///< instructions per cluster
-  // Deduplicated cross-segment reads, grouped by producing instruction:
-  // def d (dense index) is produced by producer_seg[d] and read by the
-  // segments in readers CSR row d.
-  std::vector<std::uint32_t> producer_seg;
-  std::vector<std::uint32_t> reader_off;
-  std::vector<std::uint32_t> reader_seg;
-  // Defs each cluster reads from other segments / produces for other
-  // segments (dense def indices, CSR over clusters).
-  std::vector<std::uint32_t> reads_off;
-  std::vector<std::uint32_t> reads_def;
-  std::vector<std::uint32_t> produced_off;
-  std::vector<std::uint32_t> produced_def;
 
   [[nodiscard]] std::uint32_t num_clusters() const {
     return static_cast<std::uint32_t>(member_off.size() - 1);
   }
+  [[nodiscard]] std::span<const std::uint32_t> members(std::uint32_t c) const {
+    return {member_seg.data() + member_off[c],
+            member_seg.data() + member_off[c + 1]};
+  }
 };
 
 Structure build_structure(const DependenceGraph& graph,
-                          const std::vector<std::uint32_t>& cluster_of,
-                          std::uint32_t banks) {
+                          const std::vector<std::uint32_t>& cluster_of) {
   Structure st;
-  st.banks = banks;
-  const auto n = graph.num_instructions();
   const auto num_segments = graph.num_segments();
 
   // Dense cluster indices (cluster_of values are root segment ids).
@@ -87,139 +75,20 @@ Structure build_structure(const DependenceGraph& graph,
 
   // Membership CSR + instruction sizes.
   st.member_off.assign(num_clusters + 1, 0);
+  st.cluster_size.assign(num_clusters, 0);
   for (std::uint32_t s = 0; s < num_segments; ++s) {
     ++st.member_off[st.cluster_idx[s] + 1];
+    st.cluster_size[st.cluster_idx[s]] += graph.segment_size(s);
   }
   for (std::uint32_t c = 0; c < num_clusters; ++c) {
     st.member_off[c + 1] += st.member_off[c];
   }
   st.member_seg.resize(num_segments);
-  {
-    auto cursor = st.member_off;
-    for (std::uint32_t s = 0; s < num_segments; ++s) {
-      st.member_seg[cursor[st.cluster_idx[s]]++] = s;
-    }
-  }
-  st.cluster_size.assign(num_clusters, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ++st.cluster_size[st.cluster_idx[graph.segment_of(i)]];
-  }
-
-  // Distinct (def, reader segment) pairs across segments.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  pairs.reserve(std::size_t{2} * n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto s = graph.segment_of(i);
-    for (const auto def : {graph.def_of_a(i), graph.def_of_b(i)}) {
-      if (def != npos && graph.segment_of(def) != s) {
-        pairs.emplace_back(def, s);
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  // Group by def into CSR rows.
-  std::vector<std::uint32_t> def_of;  // dense def → instruction id
-  st.reader_off.push_back(0);
-  for (std::size_t k = 0; k < pairs.size();) {
-    const auto d = pairs[k].first;
-    def_of.push_back(d);
-    st.producer_seg.push_back(graph.segment_of(d));
-    while (k < pairs.size() && pairs[k].first == d) {
-      st.reader_seg.push_back(pairs[k].second);
-      ++k;
-    }
-    st.reader_off.push_back(static_cast<std::uint32_t>(st.reader_seg.size()));
-  }
-  const auto num_defs = static_cast<std::uint32_t>(def_of.size());
-
-  // Per-cluster read sets (dedup per (cluster, def)) and produced defs.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> cluster_reads;
-  cluster_reads.reserve(st.reader_seg.size());
-  for (std::uint32_t d = 0; d < num_defs; ++d) {
-    for (auto k = st.reader_off[d]; k < st.reader_off[d + 1]; ++k) {
-      cluster_reads.emplace_back(st.cluster_idx[st.reader_seg[k]], d);
-    }
-  }
-  std::sort(cluster_reads.begin(), cluster_reads.end());
-  cluster_reads.erase(std::unique(cluster_reads.begin(), cluster_reads.end()),
-                      cluster_reads.end());
-  st.reads_off.assign(num_clusters + 1, 0);
-  for (const auto& [c, d] : cluster_reads) {
-    ++st.reads_off[c + 1];
-  }
-  for (std::uint32_t c = 0; c < num_clusters; ++c) {
-    st.reads_off[c + 1] += st.reads_off[c];
-  }
-  st.reads_def.resize(cluster_reads.size());
-  {
-    auto cursor = st.reads_off;
-    for (const auto& [c, d] : cluster_reads) {
-      st.reads_def[cursor[c]++] = d;
-    }
-  }
-  st.produced_off.assign(num_clusters + 1, 0);
-  for (std::uint32_t d = 0; d < num_defs; ++d) {
-    ++st.produced_off[st.cluster_idx[st.producer_seg[d]] + 1];
-  }
-  for (std::uint32_t c = 0; c < num_clusters; ++c) {
-    st.produced_off[c + 1] += st.produced_off[c];
-  }
-  st.produced_def.resize(num_defs);
-  {
-    auto cursor = st.produced_off;
-    for (std::uint32_t d = 0; d < num_defs; ++d) {
-      st.produced_def[cursor[st.cluster_idx[st.producer_seg[d]]]++] = d;
-    }
+  auto cursor = st.member_off;
+  for (std::uint32_t s = 0; s < num_segments; ++s) {
+    st.member_seg[cursor[st.cluster_idx[s]]++] = s;
   }
   return st;
-}
-
-/// Estimated transfers def `d` causes: distinct reader banks other than
-/// the producer's bank (the scheduler caches one copy per consuming
-/// bank). `mov` != npos pretends cluster `mov` sits in bank `mov_bank`.
-std::uint32_t def_transfers(const Structure& st,
-                            const std::vector<std::uint32_t>& seg_bank,
-                            std::uint32_t d, std::uint32_t mov,
-                            std::uint32_t mov_bank,
-                            std::vector<std::uint32_t>& scratch) {
-  const auto bank_of = [&](std::uint32_t s) {
-    return st.cluster_idx[s] == mov ? mov_bank : seg_bank[s];
-  };
-  const auto pb = bank_of(st.producer_seg[d]);
-  scratch.clear();
-  for (auto k = st.reader_off[d]; k < st.reader_off[d + 1]; ++k) {
-    const auto b = bank_of(st.reader_seg[k]);
-    if (b != pb &&
-        std::find(scratch.begin(), scratch.end(), b) == scratch.end()) {
-      scratch.push_back(b);
-    }
-  }
-  return static_cast<std::uint32_t>(scratch.size());
-}
-
-/// Surrogate transfer delta of moving cluster `c` to bank `q`: only defs
-/// read or produced by the cluster can change their transfer count.
-std::int64_t transfer_delta(const Structure& st,
-                            const std::vector<std::uint32_t>& seg_bank,
-                            std::uint32_t c, std::uint32_t q,
-                            std::vector<std::uint32_t>& scratch) {
-  std::int64_t delta = 0;
-  const auto visit = [&](std::uint32_t d) {
-    delta +=
-        static_cast<std::int64_t>(def_transfers(st, seg_bank, d, c, q,
-                                                scratch)) -
-        static_cast<std::int64_t>(def_transfers(st, seg_bank, d, npos, 0,
-                                                scratch));
-  };
-  for (auto k = st.reads_off[c]; k < st.reads_off[c + 1]; ++k) {
-    visit(st.reads_def[k]);
-  }
-  for (auto k = st.produced_off[c]; k < st.produced_off[c + 1]; ++k) {
-    visit(st.produced_def[k]);
-  }
-  return delta;
 }
 
 }  // namespace
@@ -236,7 +105,7 @@ RefineStats refine(const DependenceGraph& graph,
   if (banks <= 1 || passes == 0 || graph.num_segments() == 0) {
     return stats;
   }
-  const auto st = build_structure(graph, cluster_of, banks);
+  const auto st = build_structure(graph, cluster_of);
   const auto num_clusters = st.num_clusters();
   if (num_clusters <= 1) {
     return stats;
@@ -246,25 +115,23 @@ RefineStats refine(const DependenceGraph& graph,
   // Per-bank instruction loads (throughput-bound surrogate) and, per
   // cluster, the per-member load split by bank — clusters may straddle
   // banks under compiler placement hints until a kept move homes them.
-  std::vector<std::uint32_t> seg_size(graph.num_segments(), 0);
-  for (std::uint32_t i = 0; i < graph.num_instructions(); ++i) {
-    ++seg_size[graph.segment_of(i)];
-  }
+  const auto seg_size = [&](std::uint32_t s) {
+    return std::uint64_t{graph.segment_size(s)};
+  };
   std::vector<std::uint64_t> bank_load(banks, 0);
   for (std::uint32_t s = 0; s < graph.num_segments(); ++s) {
-    bank_load[seg_bank[s]] += seg_size[s];
+    bank_load[seg_bank[s]] += seg_size(s);
   }
   const auto cluster_bank_load = [&](std::uint32_t c) {
     std::vector<std::pair<std::uint32_t, std::uint64_t>> loads;
-    for (auto k = st.member_off[c]; k < st.member_off[c + 1]; ++k) {
-      const auto s = st.member_seg[k];
+    for (const auto s : st.members(c)) {
       const auto b = seg_bank[s];
       auto it = std::find_if(loads.begin(), loads.end(),
                              [&](const auto& e) { return e.first == b; });
       if (it == loads.end()) {
-        loads.emplace_back(b, seg_size[s]);
+        loads.emplace_back(b, seg_size(s));
       } else {
-        it->second += seg_size[s];
+        it->second += seg_size(s);
       }
     }
     return loads;
@@ -296,22 +163,18 @@ RefineStats refine(const DependenceGraph& graph,
   stats.steps_before = best.steps;
   stats.transfers_before = best.transfers;
 
-  // The incremental screen, anchored on the exact starting evaluation.
+  // The load model, anchored on the exact starting evaluation. Both
+  // evaluator modes rank banks by its effective loads; only the
+  // incremental one also screens trials with its estimates. Its current()
+  // cost is what the screen compares estimates against: equal to `best`
+  // whenever the state is exactly anchored, estimate-based while
+  // deferred-mode (resync_interval > 1) accepts ride between resyncs.
   const bool use_inc = options.incremental;
   const auto resync_interval = std::max<std::uint32_t>(
       options.resync_interval, 1);
   stats.incremental = use_inc;
-  std::optional<IncrementalEval> inc;
-  if (use_inc) {
-    inc.emplace(graph, cost, banks);
-    inc->resync(seg_bank, best);
-  }
-  // Current reference the screen compares estimates against: equal to
-  // `best` whenever the state is exactly anchored; estimate-based while
-  // deferred-mode (resync_interval > 1) accepts ride between resyncs.
-  std::uint32_t cur_steps = best.steps;
-  std::uint32_t cur_transfers = best.transfers;
-  std::uint64_t cur_makespan = best.makespan;
+  IncrementalEval inc(graph, cost, banks);
+  inc.resync(seg_bank, best);
   const bool by_makespan = options.makespan_objective;
   // Last exact anchor for deferred-mode rollback.
   std::vector<std::uint32_t> anchor_bank;
@@ -335,9 +198,9 @@ RefineStats refine(const DependenceGraph& graph,
       use_inc ? 48 * full_budget : full_budget;
 
   const auto move_seg = [&](std::uint32_t s, std::uint32_t q) {
-    bank_load[seg_bank[s]] -= seg_size[s];
+    bank_load[seg_bank[s]] -= seg_size(s);
     seg_bank[s] = q;
-    bank_load[q] += seg_size[s];
+    bank_load[q] += seg_size(s);
   };
   const auto apply_move = [&](const Move& m,
                               std::vector<std::uint32_t>& undo) {
@@ -347,10 +210,9 @@ RefineStats refine(const DependenceGraph& graph,
       move_seg(m.seg, m.bank);
       return;
     }
-    for (auto k = st.member_off[m.cluster]; k < st.member_off[m.cluster + 1];
-         ++k) {
-      undo.push_back(seg_bank[st.member_seg[k]]);
-      move_seg(st.member_seg[k], m.bank);
+    for (const auto s : st.members(m.cluster)) {
+      undo.push_back(seg_bank[s]);
+      move_seg(s, m.bank);
     }
   };
   const auto revert_move = [&](const Move& m,
@@ -360,9 +222,8 @@ RefineStats refine(const DependenceGraph& graph,
       return;
     }
     std::uint32_t u = 0;
-    for (auto k = st.member_off[m.cluster]; k < st.member_off[m.cluster + 1];
-         ++k) {
-      move_seg(st.member_seg[k], undo[u++]);
+    for (const auto s : st.members(m.cluster)) {
+      move_seg(s, undo[u++]);
     }
   };
   // Lexicographic objective. Steps mode: (steps, transfers) — steps
@@ -379,12 +240,9 @@ RefineStats refine(const DependenceGraph& graph,
            (r.steps == best.steps && r.transfers < best.transfers);
   };
   const auto fully_in = [&](std::uint32_t c, std::uint32_t q) {
-    for (auto k = st.member_off[c]; k < st.member_off[c + 1]; ++k) {
-      if (seg_bank[st.member_seg[k]] != q) {
-        return false;
-      }
-    }
-    return true;
+    const auto members = st.members(c);
+    return std::all_of(members.begin(), members.end(),
+                       [&](std::uint32_t s) { return seg_bank[s] == q; });
   };
   // Swap partner: the cluster homed in `q` closest in size to `c` (pure
   // load exchanges a one-way move cannot express).
@@ -435,27 +293,42 @@ RefineStats refine(const DependenceGraph& graph,
     return true;
   };
 
-  // Effective per-bank load: segment instructions plus the
-  // transfer-copy instructions (one reset + copy per distinct
-  // (def, consuming bank)) the current assignment makes each bank
-  // execute. Raw segment loads alone misidentify the peak bank whenever
-  // transfers are a noticeable share of the work.
-  const auto num_defs = static_cast<std::uint32_t>(st.producer_seg.size());
-  const auto effective_loads = [&] {
-    auto load = bank_load;
-    for (std::uint32_t d = 0; d < num_defs; ++d) {
-      const auto pb = seg_bank[st.producer_seg[d]];
-      scratch.clear();
-      for (auto k = st.reader_off[d]; k < st.reader_off[d + 1]; ++k) {
-        const auto b = seg_bank[st.reader_seg[k]];
-        if (b != pb &&
-            std::find(scratch.begin(), scratch.end(), b) == scratch.end()) {
-          scratch.push_back(b);
-          load[b] += cost.transfer_instructions;
+  // Defs whose copy sets a move of cluster `c` can change: the ones its
+  // members read from other segments (once each) and the ones they
+  // produce. A def one member produces and another reads counts under
+  // both, which weighs intra-cluster reads double in the surrogate.
+  std::vector<std::uint32_t> def_stamp(graph.num_read_defs(), 0);
+  std::uint32_t stamp = 0;
+  std::vector<std::uint32_t> touched;
+  const auto collect_touched = [&](std::uint32_t c) {
+    ++stamp;
+    touched.clear();
+    for (const auto s : st.members(c)) {
+      for (const auto d : graph.read_defs(s)) {
+        if (def_stamp[d] != stamp) {
+          def_stamp[d] = stamp;
+          touched.push_back(d);
         }
       }
     }
-    return load;
+    for (const auto s : st.members(c)) {
+      const auto produced = graph.produced_defs(s);
+      touched.insert(touched.end(), produced.begin(), produced.end());
+    }
+  };
+  // Transfers the touched defs cost with cluster `mov` in bank `mov_bank`
+  // (npos: the current assignment), by the load model's copy rule.
+  const auto touched_transfers = [&](std::uint32_t mov,
+                                     std::uint32_t mov_bank) {
+    const auto bank_of = [&](std::uint32_t s) {
+      return st.cluster_idx[s] == mov ? mov_bank : seg_bank[s];
+    };
+    std::int64_t total = 0;
+    for (const auto d : touched) {
+      IncrementalEval::consuming_banks(graph, d, bank_of, scratch);
+      total += static_cast<std::int64_t>(scratch.size());
+    }
+    return total;
   };
 
   auto& registry = util::MetricsRegistry::global();
@@ -498,9 +371,7 @@ RefineStats refine(const DependenceGraph& graph,
       }
       return;
     }
-    for (auto k = st.member_off[m.cluster]; k < st.member_off[m.cluster + 1];
-         ++k) {
-      const auto s = st.member_seg[k];
+    for (const auto s : st.members(m.cluster)) {
       if (seg_bank[s] != m.bank) {
         moved.emplace_back(s, seg_bank[s]);
       }
@@ -525,12 +396,7 @@ RefineStats refine(const DependenceGraph& graph,
   // anchor: all pending estimate-accepted moves are confirmed.
   const auto adopt_anchor = [&](RefineEval&& r) {
     best = std::move(r);
-    cur_steps = best.steps;
-    cur_transfers = best.transfers;
-    cur_makespan = best.makespan;
-    if (inc) {
-      inc->resync(seg_bank, best);
-    }
+    inc.resync(seg_bank, best);
     if (use_inc && resync_interval > 1) {
       anchor_bank = seg_bank;
     }
@@ -553,12 +419,9 @@ RefineStats refine(const DependenceGraph& graph,
     seg_bank = anchor_bank;
     bank_load.assign(banks, 0);
     for (std::uint32_t s = 0; s < graph.num_segments(); ++s) {
-      bank_load[seg_bank[s]] += seg_size[s];
+      bank_load[seg_bank[s]] += seg_size(s);
     }
-    inc->resync(seg_bank, best);
-    cur_steps = best.steps;
-    cur_transfers = best.transfers;
-    cur_makespan = best.makespan;
+    inc.resync(seg_bank, best);
     pending = 0;
   };
 
@@ -570,16 +433,17 @@ RefineStats refine(const DependenceGraph& graph,
     apply_group(g);
     ++tried;
     ++stats.moves_tried;
-    if (screened && inc) {
-      const auto est = inc->estimate(seg_bank, moved);
+    if (screened && use_inc) {
+      const auto cur = inc.current();
+      const auto est = inc.estimate(seg_bank, moved);
       const bool promising =
-          by_makespan && est.makespan != cur_makespan
-              ? est.makespan < cur_makespan
-              : est.steps < cur_steps ||
-                    (est.steps == cur_steps && est.transfers < cur_transfers);
+          by_makespan && est.makespan != cur.makespan
+              ? est.makespan < cur.makespan
+              : est.steps < cur.steps ||
+                    (est.steps == cur.steps && est.transfers < cur.transfers);
       if (!promising) {
         ++stats.moves_screened;
-        record_trial(cur_steps, cur_transfers, est.steps, est.transfers,
+        record_trial(cur.steps, cur.transfers, est.steps, est.transfers,
                      false, true);
         revert_group(g);
         return false;
@@ -587,12 +451,9 @@ RefineStats refine(const DependenceGraph& graph,
       if (resync_interval > 1) {
         // Estimate-accept: commit the delta, settle at the resync
         // cadence. moved still matches the applied group.
-        inc->commit(seg_bank, moved);
-        record_trial(cur_steps, cur_transfers, est.steps, est.transfers,
+        inc.commit(seg_bank, moved);
+        record_trial(cur.steps, cur.transfers, est.steps, est.transfers,
                      true, true);
-        cur_steps = est.steps;
-        cur_transfers = est.transfers;
-        cur_makespan = est.makespan;
         ++stats.moves_kept;
         ++pending;
         if (pending >= resync_interval) {
@@ -623,7 +484,10 @@ RefineStats refine(const DependenceGraph& graph,
         "refine.pass", "\"pass\":" + std::to_string(pass) +
                            ",\"mode\":\"" +
                            (use_inc ? "incremental" : "full") + "\"");
-    const auto eff_load = effective_loads();
+    // Banks rank by effective load (segment plus transfer-copy
+    // instructions): raw segment loads misidentify the peak bank
+    // whenever transfers are a noticeable share of the work.
+    const auto eff_load = inc.effective_loads();
 
     // Candidates: critical cross-bank edges first (they attack makespan
     // directly), then FM-style gain buckets over the cost surrogate.
@@ -708,15 +572,15 @@ RefineStats refine(const DependenceGraph& graph,
       // into the peak bank. Boundary clusters relieve; embedded ones
       // backfire.
       const auto net_relief = [&](std::uint32_t c) {
+        const auto bank_of = [&](std::uint32_t s) {
+          return st.cluster_idx[s] == c ? low_bank : seg_bank[s];
+        };
         std::int64_t copies_back = 0;
-        for (auto k = st.produced_off[c]; k < st.produced_off[c + 1]; ++k) {
-          const auto d = st.produced_def[k];
-          for (auto r = st.reader_off[d]; r < st.reader_off[d + 1]; ++r) {
-            const auto rs = st.reader_seg[r];
-            if (st.cluster_idx[rs] != c && seg_bank[rs] == peak_bank) {
-              ++copies_back;
-              break;  // one copy per (def, bank), however many readers
-            }
+        for (const auto s : st.members(c)) {
+          for (const auto d : graph.produced_defs(s)) {
+            IncrementalEval::consuming_banks(graph, d, bank_of, scratch);
+            copies_back += std::count(scratch.begin(), scratch.end(),
+                                      peak_bank);
           }
         }
         return static_cast<std::int64_t>(st.cluster_size[c]) -
@@ -751,17 +615,19 @@ RefineStats refine(const DependenceGraph& graph,
     std::vector<std::vector<Move>> buckets(2 * kMaxGain + 1);
     for (std::uint32_t c = 0; c < num_clusters; ++c) {
       const auto from = cluster_bank_load(c);
+      collect_touched(c);
+      const auto transfers_now = touched_transfers(npos, 0);
       std::int64_t best_gain = 0;
       auto best_bank = npos;
       for (std::uint32_t q = 0; q < banks; ++q) {
         if (fully_in(c, q)) {
           continue;
         }
+        const auto transfer_delta = touched_transfers(c, q) - transfers_now;
         const auto gain =
             static_cast<std::int64_t>(
                 static_cast<double>(cost.transfer_instructions) *
-                static_cast<double>(-transfer_delta(st, seg_bank, c, q,
-                                                    scratch))) +
+                static_cast<double>(-transfer_delta)) +
             static_cast<std::int64_t>(cost.load_balance_weight *
                                       static_cast<double>(
                                           peak_delta(c, q, from)));
@@ -796,8 +662,9 @@ RefineStats refine(const DependenceGraph& graph,
     if (use_inc && eff_load[peak_bank] > eff_load[low_bank]) {
       std::vector<std::pair<std::int64_t, std::uint32_t>> in_peak_segs;
       for (std::uint32_t s = 0; s < graph.num_segments(); ++s) {
-        if (seg_bank[s] == peak_bank && seg_size[s] > 0) {
-          in_peak_segs.emplace_back(-std::int64_t{seg_size[s]}, s);
+        if (seg_bank[s] == peak_bank && seg_size(s) > 0) {
+          in_peak_segs.emplace_back(-static_cast<std::int64_t>(seg_size(s)),
+                                    s);
         }
       }
       std::sort(in_peak_segs.begin(), in_peak_segs.end());
@@ -897,8 +764,7 @@ RefineStats refine(const DependenceGraph& graph,
       if (partner == npos) {
         continue;
       }
-      const Move back{partner,
-                      seg_bank[st.member_seg[st.member_off[m.cluster]]]};
+      const Move back{partner, seg_bank[st.members(m.cluster).front()]};
       try_group({m, back}, group.screened);
     }
     // Settle deferred accepts before the pass ends so candidate

@@ -85,6 +85,17 @@ struct RefineStats {
   /// the makespan objective) — lets the caller compare refined legs by
   /// the same objective the passes optimized.
   std::uint64_t makespan_after = 0;
+
+  /// Adds the work another refine() leg spent on the same schedule:
+  /// passes, trials, screened trials, exact evaluations and resyncs sum;
+  /// the quality side (kept moves, before/after figures) stays this run's.
+  void accumulate(const RefineStats& leg) {
+    passes_run += leg.passes_run;
+    moves_tried += leg.moves_tried;
+    moves_screened += leg.moves_screened;
+    full_evals += leg.full_evals;
+    resyncs += leg.resyncs;
+  }
 };
 
 /// Kernighan–Lin-style iterative improvement over the cluster→bank

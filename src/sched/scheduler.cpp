@@ -69,6 +69,45 @@ struct Expansion {
   }
 };
 
+/// What the greedy seeds price a cluster by, built once per schedule()
+/// from the DependenceGraph's read graph and indexed by cluster root:
+/// its size, and the producer cluster of every distinct def it reads
+/// from another cluster (each one is a potential transfer).
+struct ClusterReads {
+  std::vector<std::uint32_t> size;
+  std::vector<std::uint32_t> off;       ///< CSR offsets
+  std::vector<std::uint32_t> producer;  ///< CSR payload
+};
+
+ClusterReads cluster_reads(const DependenceGraph& graph,
+                           const std::vector<std::uint32_t>& cluster_of) {
+  const auto num_segments = graph.num_segments();
+  ClusterReads cr;
+  cr.size.assign(num_segments, 0);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> reads;  // (cluster, def)
+  for (std::uint32_t s = 0; s < num_segments; ++s) {
+    const auto c = cluster_of[s];
+    cr.size[c] += graph.segment_size(s);
+    for (const auto d : graph.read_defs(s)) {
+      if (cluster_of[graph.producer_segment(d)] != c) {
+        reads.emplace_back(c, d);
+      }
+    }
+  }
+  std::sort(reads.begin(), reads.end());
+  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+  cr.off.assign(num_segments + 1, 0);
+  cr.producer.reserve(reads.size());
+  for (const auto& [c, d] : reads) {
+    ++cr.off[c + 1];
+    cr.producer.push_back(cluster_of[graph.producer_segment(d)]);
+  }
+  for (std::uint32_t c = 0; c < num_segments; ++c) {
+    cr.off[c + 1] += cr.off[c];
+  }
+  return cr;
+}
+
 /// Post-hoc cluster→bank assignment: greedy over clusters, each taking
 /// the bank minimizing the cost model's transfer + post-transfer load
 /// cost. Four seeds exist — producer order (ascending root id: best
@@ -79,44 +118,12 @@ struct Expansion {
 /// schedule() trial-runs all four and refines from the two best starts.
 std::vector<std::uint32_t> assign_clusters(
     const DependenceGraph& graph, const std::vector<std::uint32_t>& cluster_of,
-    const ScheduleOptions& opts, SeedOrder seed_order) {
+    const ClusterReads& cr, const ScheduleOptions& opts,
+    SeedOrder seed_order) {
   const auto banks = opts.banks;
   const auto n = graph.num_instructions();
   const auto num_segments = graph.num_segments();
-
-  std::vector<std::uint32_t> seg_size(num_segments, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ++seg_size[graph.segment_of(i)];
-  }
-  std::vector<std::uint32_t> cluster_size(num_segments, 0);
-  for (std::uint32_t s = 0; s < num_segments; ++s) {
-    cluster_size[cluster_of[s]] += seg_size[s];
-  }
-
-  // Distinct operand defs a cluster reads from other clusters — each one
-  // is a potential transfer, cached per (def, bank). Flat CSR keyed by
-  // cluster root instead of a per-cluster map.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> reads;  // (cluster, def)
-  reads.reserve(n / 2);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto c = cluster_of[graph.segment_of(i)];
-    for (const auto def : {graph.def_of_a(i), graph.def_of_b(i)}) {
-      if (def != npos && cluster_of[graph.segment_of(def)] != c) {
-        reads.emplace_back(c, def);
-      }
-    }
-  }
-  std::sort(reads.begin(), reads.end());
-  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
-
-  // CSR over the sorted (cluster, def) pairs, indexed by cluster root.
-  std::vector<std::uint32_t> read_off(num_segments + 1, 0);
-  for (const auto& [c, def] : reads) {
-    ++read_off[c + 1];
-  }
-  for (std::uint32_t c = 0; c < num_segments; ++c) {
-    read_off[c + 1] += read_off[c];
-  }
+  const auto& cluster_size = cr.size;
 
   // Visit order. Root-id order sees producers before consumers, so the
   // transfer term prices well but a late big cluster lands on whatever
@@ -156,7 +163,8 @@ std::vector<std::uint32_t> assign_clusters(
     std::vector<std::uint32_t> crit(num_segments, 0);
     if (seed_order == SeedOrder::chain_segment) {
       for (std::uint32_t s = 0; s < num_segments; ++s) {
-        crit[cluster_of[s]] = std::max(crit[cluster_of[s]], seg_size[s]);
+        crit[cluster_of[s]] =
+            std::max(crit[cluster_of[s]], graph.segment_size(s));
       }
     } else {
       const auto& heights = graph.heights();
@@ -190,8 +198,8 @@ std::vector<std::uint32_t> assign_clusters(
     double best_cost = 0.0;
     for (std::uint32_t b = 0; b < banks; ++b) {
       std::uint32_t transfers = 0;
-      for (auto k = read_off[c]; k < read_off[c + 1]; ++k) {
-        const auto pc = cluster_of[graph.segment_of(reads[k].second)];
+      for (auto k = cr.off[c]; k < cr.off[c + 1]; ++k) {
+        const auto pc = cr.producer[k];
         if (cluster_bank[pc] != npos && cluster_bank[pc] != b) {
           ++transfers;
         }
@@ -904,8 +912,9 @@ ScheduleResult schedule(const arch::Program& serial,
     } else {
       cluster_of = opts.cluster ? cluster_segments(graph, banks)
                                 : identity_clusters();
-      seg_bank =
-          assign_clusters(graph, cluster_of, opts, SeedOrder::producer);
+      const auto reads = cluster_reads(graph, cluster_of);
+      seg_bank = assign_clusters(graph, cluster_of, reads, opts,
+                                 SeedOrder::producer);
       if (opts.refine_passes > 0 && num_segments > 1) {
         // Trial-schedule all four greedy seeds and keep the two best
         // distinct starts — producer order protects transfer chains
@@ -922,7 +931,8 @@ ScheduleResult schedule(const arch::Program& serial,
               SeedOrder::chain_height}) {
           auto cand = order == SeedOrder::producer
                           ? seg_bank
-                          : assign_clusters(graph, cluster_of, opts, order);
+                          : assign_clusters(graph, cluster_of, reads, opts,
+                                            order);
           bool duplicate = false;
           for (const auto& s : starts) {
             duplicate = duplicate || s.sb == cand;
@@ -979,28 +989,22 @@ ScheduleResult schedule(const arch::Program& serial,
                       probe_opts, evaluate,
                       start_eval ? &*start_eval : nullptr);
       auto second_bank = std::move(*second_start);
-      const auto rstats2 =
-          refine(graph, second_bank, cluster_of, banks, opts.cost,
-                 probe_opts, evaluate, &*second_eval);
-      RefineEval first_final;
-      first_final.steps = rstats.steps_after;
-      first_final.transfers = rstats.transfers_after;
-      first_final.makespan = rstats.makespan_after;
-      RefineEval second_final;
-      second_final.steps = rstats2.steps_after;
-      second_final.transfers = rstats2.transfers_after;
-      second_final.makespan = rstats2.makespan_after;
+      auto rstats2 = refine(graph, second_bank, cluster_of, banks, opts.cost,
+                            probe_opts, evaluate, &*second_eval);
+      const auto final_eval = [](const RefineStats& r) {
+        RefineEval e;
+        e.steps = r.steps_after;
+        e.transfers = r.transfers_after;
+        e.makespan = r.makespan_after;
+        return e;
+      };
       // Cost-side tallies sum over everything spent (both probes plus
       // the commit leg below); quality-side fields stay the winner's.
-      auto total_passes = rstats.passes_run + rstats2.passes_run;
-      auto total_tried = rstats.moves_tried + rstats2.moves_tried;
-      auto total_screened = rstats.moves_screened + rstats2.moves_screened;
-      auto total_full = rstats.full_evals + rstats2.full_evals;
-      auto total_resyncs = rstats.resyncs + rstats2.resyncs;
-      if (lexicographically_better(second_final, first_final)) {
+      if (lexicographically_better(final_eval(rstats2), final_eval(rstats))) {
         seg_bank = std::move(second_bank);
-        rstats = rstats2;
+        std::swap(rstats, rstats2);
       }
+      rstats.accumulate(rstats2);
       if (ropts.passes > probe_opts.passes) {
         RefineOptions commit_opts = ropts;
         commit_opts.passes = ropts.passes - probe_opts.passes;
@@ -1010,21 +1014,12 @@ ScheduleResult schedule(const arch::Program& serial,
         const auto rstats3 = refine(graph, seg_bank, cluster_of, banks,
                                     opts.cost, commit_opts, evaluate,
                                     nullptr);
-        total_passes += rstats3.passes_run;
-        total_tried += rstats3.moves_tried;
-        total_screened += rstats3.moves_screened;
-        total_full += rstats3.full_evals;
-        total_resyncs += rstats3.resyncs;
+        rstats.accumulate(rstats3);
         rstats.steps_after = rstats3.steps_after;
         rstats.transfers_after = rstats3.transfers_after;
         rstats.makespan_after = rstats3.makespan_after;
         rstats.moves_kept += rstats3.moves_kept;
       }
-      rstats.passes_run = total_passes;
-      rstats.moves_tried = total_tried;
-      rstats.moves_screened = total_screened;
-      rstats.full_evals = total_full;
-      rstats.resyncs = total_resyncs;
     }
   }
 
@@ -1174,12 +1169,12 @@ ScheduleResult schedule(const arch::Program& serial,
   // stream for the event-driven clock (adopted only when the makespan
   // strictly improves and the step count does not grow — see
   // sched/stream_order.hpp), with sync tokens re-derived for the new
-  // streams.
-  StreamOrderResult reorder;
+  // streams. The pass hands back the timing of the program it leaves.
+  constexpr auto phases = arch::Machine::phases_per_instruction;
+  std::optional<StreamOrderResult> reorder;
   if (makespan_objective && banks > 1) {
     const util::TraceSpan reorder_span("sched.stream_order");
-    reorder = reorder_streams(pp, opts.cost.bus_width,
-                              arch::Machine::phases_per_instruction);
+    reorder = reorder_streams(pp, opts.cost.bus_width, phases);
   }
   const auto final_steps = pp.num_steps();
 
@@ -1191,7 +1186,7 @@ ScheduleResult schedule(const arch::Program& serial,
   stats.duplicates = ex.duplicates;
   stats.duplicated_instructions = ex.duplicated_instructions;
   stats.steps = final_steps;
-  stats.stream_reorder_saved_cycles = reorder.saved_cycles;
+  stats.stream_reorder_saved_cycles = reorder ? reorder->saved_cycles : 0;
   stats.critical_path = graph.critical_path();
   // Chain term: the renamed critical path, except that duplication can
   // detach a remote reader from the chain it reads (the replica carries
@@ -1230,17 +1225,20 @@ ScheduleResult schedule(const arch::Program& serial,
   // machine-side stalls); the decoupled figure is the event-driven
   // makespan under the same bus width — never above the lockstep bound,
   // because every sync token and arbiter grant follows the step order.
-  constexpr auto phases = arch::Machine::phases_per_instruction;
   stats.execution = opts.execution;
   stats.sync_tokens = static_cast<std::uint32_t>(pp.sync_edges().size());
   stats.lockstep_cycles = std::uint64_t{final_steps} * phases;
-  double timing_ms = 0.0;
   DecoupledTiming timing;
-  {
-    const util::ScopedPhase timing_phase("sched.timing", &timing_ms);
-    timing = decoupled_timing(pp, opts.cost.bus_width, phases);
+  if (reorder) {
+    timing = std::move(reorder->timing);
+  } else {
+    double timing_ms = 0.0;
+    {
+      const util::ScopedPhase timing_phase("sched.timing", &timing_ms);
+      timing = decoupled_timing(pp, opts.cost.bus_width, phases);
+    }
+    sync_ms += timing_ms;
   }
-  sync_ms += timing_ms;
   if (opts.execution == ExecutionModel::decoupled && opts.trace_timeline) {
     // The cycle-level per-bank timeline (no-op unless tracing is on).
     trace_decoupled_timeline(

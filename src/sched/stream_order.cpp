@@ -17,41 +17,6 @@ namespace {
 constexpr std::uint32_t kPhases = arch::Machine::phases_per_instruction;
 constexpr std::uint32_t kWritePhase = kPhases - 1;
 
-/// The program's ops flattened in lockstep program order (step, then
-/// bank within the step), with per-bank stream membership.
-struct Ops {
-  std::uint32_t banks = 0;
-  std::uint32_t total = 0;
-  std::vector<Slot> slot;              ///< by flat id, program order
-  std::vector<std::uint32_t> bank_of;  ///< by flat id
-};
-
-Ops flatten_ops(const ParallelProgram& p) {
-  Ops ops;
-  ops.banks = p.num_banks();
-  for (std::uint32_t s = 0; s < p.num_steps(); ++s) {
-    for (const auto& slot : p.step(s)) {
-      if (slot.bank >= ops.banks) {
-        continue;  // malformed slot; validate() reports it separately
-      }
-      ops.slot.push_back(slot);
-      ops.bank_of.push_back(slot.bank);
-    }
-  }
-  ops.total = static_cast<std::uint32_t>(ops.slot.size());
-  return ops;
-}
-
-bool reads_remote_cell(const ParallelProgram& p, const Slot& slot) {
-  const auto [begin, end] = p.bank_range(slot.bank);
-  for (const auto op : {slot.instr.a, slot.instr.b}) {
-    if (op.is_rram() && (op.address() < begin || op.address() >= end)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 struct HazardEdge {
   std::uint32_t from;
   std::uint32_t to;
@@ -60,16 +25,19 @@ struct HazardEdge {
 
 /// Op-level hazard graph over physical cells, built from the program
 /// order (a valid serialization, so "last write" / "reads since the
-/// last write" are well defined). Every RM3 op reads its destination
+/// last write" are well defined). Ops are numbered in program order:
+/// op k is view id view.order[k]. Every RM3 op reads its destination
 /// cell too (Z enters the majority), consumed in the write phase.
 /// Latencies follow the phase-level sync contract: a dependent phase
 /// begins the cycle after the phase it watches completes, clamped at
 /// zero (start-to-start: max(0, from_phase + 1 − to_phase)).
-std::vector<HazardEdge> hazard_edges(const Ops& ops, std::uint32_t cells) {
+std::vector<HazardEdge> hazard_edges(const StreamView& view,
+                                     std::uint32_t cells) {
+  const auto total = view.size();
   std::vector<HazardEdge> edges;
-  edges.reserve(std::size_t{ops.total} * 3);
+  edges.reserve(std::size_t{total} * 3);
   // Per cell: the last write so far and the reads since it.
-  std::vector<std::uint32_t> last_write(cells, ops.total);
+  std::vector<std::uint32_t> last_write(cells, total);
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
       reads_since(cells);  // (reader id, read phase)
   const auto read = [&](std::uint32_t gid, std::uint32_t c,
@@ -77,14 +45,14 @@ std::vector<HazardEdge> hazard_edges(const Ops& ops, std::uint32_t cells) {
     if (c >= cells) {
       return;
     }
-    if (last_write[c] != ops.total && last_write[c] != gid) {
+    if (last_write[c] != total && last_write[c] != gid) {
       // RAW: the read phase starts after the producer's write commits.
       edges.push_back({last_write[c], gid, kWritePhase + 1 - read_phase});
     }
     reads_since[c].emplace_back(gid, read_phase);
   };
-  for (std::uint32_t gid = 0; gid < ops.total; ++gid) {
-    const auto& ins = ops.slot[gid].instr;
+  for (std::uint32_t gid = 0; gid < total; ++gid) {
+    const auto& ins = view.slot[view.order[gid]].instr;
     if (ins.a.is_rram()) {
       read(gid, ins.a.address(), 1);
     }
@@ -100,7 +68,7 @@ std::vector<HazardEdge> hazard_edges(const Ops& ops, std::uint32_t cells) {
               {r, gid, phase + 1 > kWritePhase ? phase + 1 - kWritePhase : 0});
         }
       }
-      if (last_write[ins.z] != ops.total && last_write[ins.z] != gid) {
+      if (last_write[ins.z] != total && last_write[ins.z] != gid) {
         edges.push_back({last_write[ins.z], gid, 1});  // WAW: write order
       }
       last_write[ins.z] = gid;
@@ -117,22 +85,31 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
                                   std::uint64_t phases_per_instruction) {
   StreamOrderResult result;
   const auto phases = phases_per_instruction;
-  const auto before = decoupled_timing(program, bus_width, phases);
-  result.makespan_before = before.makespan_cycles;
-  result.makespan_after = before.makespan_cycles;
-  const auto ops = flatten_ops(program);
-  if (ops.total == 0 || ops.banks == 0 || phases == 0) {
+  const StreamView view(program);
+  result.timing = decoupled_timing(program, view, bus_width, phases);
+  result.makespan_before = result.timing.makespan_cycles;
+  result.makespan_after = result.timing.makespan_cycles;
+  const auto total = view.size();
+  const auto banks = view.banks;
+  if (total == 0 || banks == 0 || phases == 0) {
     return result;
   }
+  // Op k (program order, see hazard_edges) ↔ its view id.
+  const auto bank_of = [&](std::uint32_t k) {
+    return view.bank_of[view.order[k]];
+  };
+  const auto uses_bus = [&](std::uint32_t k) {
+    return view.uses_bus[view.order[k]];
+  };
 
-  const auto edges = hazard_edges(ops, program.num_rrams());
-  std::vector<std::uint32_t> indeg(ops.total, 0);
-  std::vector<std::uint32_t> succ_off(ops.total + 1, 0);
+  const auto edges = hazard_edges(view, program.num_rrams());
+  std::vector<std::uint32_t> indeg(total, 0);
+  std::vector<std::uint32_t> succ_off(total + 1, 0);
   for (const auto& e : edges) {
     ++succ_off[e.from + 1];
     ++indeg[e.to];
   }
-  for (std::uint32_t i = 0; i < ops.total; ++i) {
+  for (std::uint32_t i = 0; i < total; ++i) {
     succ_off[i + 1] += succ_off[i];
   }
   std::vector<std::pair<std::uint32_t, std::uint32_t>> succ(edges.size());
@@ -145,16 +122,11 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
 
   // Critical-path height (program order is a reverse-topological walk
   // when traversed backwards): the list scheduler's priority.
-  std::vector<std::uint64_t> height(ops.total, phases);
-  for (std::uint32_t i = ops.total; i-- > 0;) {
+  std::vector<std::uint64_t> height(total, phases);
+  for (std::uint32_t i = total; i-- > 0;) {
     for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
       height[i] = std::max(height[i], phases + succ[k].second + height[succ[k].first]);
     }
-  }
-
-  std::vector<bool> uses_bus(ops.total, false);
-  for (std::uint32_t i = 0; i < ops.total; ++i) {
-    uses_bus[i] = reads_remote_cell(program, ops.slot[i]);
   }
 
   // Event-driven greedy list scheduling per bank: every bank issues at
@@ -173,8 +145,8 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
   // bank's clock only moves forward, so an op never leaves `ready`
   // except by issuing: each op is pushed and popped once per heap.
   const auto stream_latency = phases > 1 ? phases - 1 : phases;
-  std::vector<std::uint64_t> dep_ready(ops.total, 0);
-  std::vector<std::uint64_t> bank_free(ops.banks, 0);
+  std::vector<std::uint64_t> dep_ready(total, 0);
+  std::vector<std::uint64_t> bank_free(banks, 0);
   using Pending = std::pair<std::uint64_t, std::uint32_t>;  // (dep_ready, id)
   const auto pending_after = [](const Pending& x, const Pending& y) {
     return x > y;  // min-heap on (dep_ready, id)
@@ -183,11 +155,11 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
     // max-heap: tallest first, then the lower flat id
     return height[x] != height[y] ? height[x] < height[y] : x > y;
   };
-  std::vector<std::vector<Pending>> pending(ops.banks);
-  std::vector<std::vector<std::uint32_t>> ready(ops.banks);
+  std::vector<std::vector<Pending>> pending(banks);
+  std::vector<std::vector<std::uint32_t>> ready(banks);
   std::uint64_t heap_ops = 0;
   const auto release = [&](std::uint32_t i) {
-    auto& heap = pending[ops.bank_of[i]];
+    auto& heap = pending[bank_of(i)];
     heap.emplace_back(dep_ready[i], i);
     std::push_heap(heap.begin(), heap.end(), pending_after);
     ++heap_ops;
@@ -204,7 +176,7 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
       heap_ops += 2;
     }
   };
-  for (std::uint32_t i = 0; i < ops.total; ++i) {
+  for (std::uint32_t i = 0; i < total; ++i) {
     if (indeg[i] == 0) {
       release(i);
     }
@@ -217,13 +189,13 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
   }
   std::uint64_t last_bus_start = 0;
   std::vector<std::uint32_t> issue_order;
-  issue_order.reserve(ops.total);
-  while (issue_order.size() < ops.total) {
+  issue_order.reserve(total);
+  while (issue_order.size() < total) {
     // The bank that can issue earliest: at its own clock when something
     // is ready there, else when its first pending op becomes ready.
-    std::uint32_t best_bank = ops.banks;
+    std::uint32_t best_bank = banks;
     std::uint64_t best_time = 0;
-    for (std::uint32_t b = 0; b < ops.banks; ++b) {
+    for (std::uint32_t b = 0; b < banks; ++b) {
       promote(b, bank_free[b]);
       std::uint64_t t = 0;
       if (!ready[b].empty()) {
@@ -233,12 +205,12 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
       } else {
         continue;
       }
-      if (best_bank == ops.banks || t < best_time) {
+      if (best_bank == banks || t < best_time) {
         best_bank = b;
         best_time = t;
       }
     }
-    if (best_bank == ops.banks) {
+    if (best_bank == banks) {
       // Hazard graph had a cycle — cannot happen for a program built
       // from a valid serialization; bail out rather than loop forever.
       return result;
@@ -251,7 +223,7 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
     heap.pop_back();
     ++heap_ops;
     auto start = best_time;
-    if (uses_bus[pick]) {
+    if (uses_bus(pick)) {
       start = std::max(start, last_bus_start);  // in-order grant chain
       if (bus_width > 0) {
         const auto server = servers.top();
@@ -281,18 +253,18 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
   // pair in distinct steps (what validate() demands); bus ops
   // additionally bump past steps whose declared bus width is full.
   const auto pack_width = program.bus_width();
-  std::vector<std::uint32_t> min_step(ops.total, 0);
-  std::vector<std::uint32_t> step_of(ops.total, 0);
-  std::vector<std::uint32_t> bank_last(ops.banks, 0);
-  std::vector<bool> bank_issued(ops.banks, false);
+  std::vector<std::uint32_t> min_step(total, 0);
+  std::vector<std::uint32_t> step_of(total, 0);
+  std::vector<std::uint32_t> bank_last(banks, 0);
+  std::vector<bool> bank_issued(banks, false);
   std::vector<std::uint32_t> step_bus;  // bus ops packed per step
   for (const auto i : issue_order) {
-    const auto b = ops.bank_of[i];
+    const auto b = bank_of(i);
     auto st = min_step[i];
     if (bank_issued[b]) {
       st = std::max(st, bank_last[b] + 1);
     }
-    if (uses_bus[i] && pack_width > 0) {
+    if (uses_bus(i) && pack_width > 0) {
       while (st < step_bus.size() && step_bus[st] >= pack_width) {
         ++st;
       }
@@ -300,7 +272,7 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
     if (step_bus.size() <= st) {
       step_bus.resize(std::size_t{st} + 1, 0);
     }
-    if (uses_bus[i]) {
+    if (uses_bus(i)) {
       ++step_bus[st];
     }
     step_of[i] = st;
@@ -313,8 +285,8 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
 
   // Rebuild and judge. Steps are compacted (bus bumping can skip step
   // indices); slots keep ascending bank order within each step.
-  std::vector<std::uint32_t> by_step(ops.total);
-  for (std::uint32_t i = 0; i < ops.total; ++i) {
+  std::vector<std::uint32_t> by_step(total);
+  for (std::uint32_t i = 0; i < total; ++i) {
     by_step[i] = i;
   }
   std::sort(by_step.begin(), by_step.end(),
@@ -322,7 +294,7 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
               if (step_of[x] != step_of[y]) {
                 return step_of[x] < step_of[y];
               }
-              return ops.bank_of[x] < ops.bank_of[y];
+              return bank_of(x) < bank_of(y);
             });
   ParallelProgram candidate(program.num_banks());
   for (std::uint32_t b = 0; b < program.num_banks(); ++b) {
@@ -344,20 +316,21 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
       open = true;
       open_step = step_of[i];
     }
-    candidate.add_slot(ops.slot[i]);
+    candidate.add_slot(view.slot[view.order[i]]);
   }
   derive_sync(candidate);
   if (!candidate.validate().empty()) {
     return result;  // defensive: never adopt a program validate() rejects
   }
-  const auto after = decoupled_timing(candidate, bus_width, phases);
-  if (after.makespan_cycles >= before.makespan_cycles ||
+  auto after = decoupled_timing(candidate, bus_width, phases);
+  if (after.makespan_cycles >= result.makespan_before ||
       candidate.num_steps() > program.num_steps()) {
     return result;
   }
   result.applied = true;
   result.makespan_after = after.makespan_cycles;
-  result.saved_cycles = before.makespan_cycles - after.makespan_cycles;
+  result.saved_cycles = result.makespan_before - after.makespan_cycles;
+  result.timing = std::move(after);
   program = std::move(candidate);
   return result;
 }

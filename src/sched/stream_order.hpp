@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "sched/decoupled.hpp"
 #include "sched/parallel_program.hpp"
 
 namespace plim::sched {
@@ -13,6 +14,9 @@ struct StreamOrderResult {
   std::uint64_t makespan_after = 0;   ///< decoupled makespan of the result
   /// makespan_before − makespan_after when applied, else 0.
   std::uint64_t saved_cycles = 0;
+  /// Decoupled timing of the program left in place — the reordered one
+  /// when applied, else the input — so callers need no second pass.
+  DecoupledTiming timing;
 };
 
 /// Decoupled-native stream ordering: re-sequences each bank's serial

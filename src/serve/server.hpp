@@ -18,6 +18,11 @@
 
 namespace plim::serve {
 
+/// Most worker threads a command line may ask for (`plimc --threads`,
+/// `serve_throughput --threads`): far above any useful pool on one host,
+/// low enough that a mistyped count cannot exhaust the process table.
+inline constexpr unsigned kMaxWorkers = 256;
+
 /// Transport and sizing knobs of one compile server (the compile
 /// pipeline itself is configured by the plim::Options the Server is
 /// constructed with — one option set per daemon, like one option set

@@ -46,28 +46,64 @@ TEST(DeriveSync, TokensAreMatchedInRangeAndStepForward) {
   EXPECT_EQ(pp.validate(), "");
   EXPECT_EQ(result.stats.sync_tokens, pp.sync_edges().size());
 
-  const auto streams = bank_streams(pp);
-  std::size_t signals = 0;
-  std::size_t waits = 0;
-  for (const auto& stream : streams) {
-    for (const auto& op : stream) {
-      signals += op.signals.size();
-      waits += op.waits.size();
-    }
-  }
   // Every token is one signal/wait pair attached to real stream ops.
-  EXPECT_EQ(signals, pp.sync_edges().size());
-  EXPECT_EQ(waits, pp.sync_edges().size());
+  const StreamView view(pp);
   for (const auto& e : pp.sync_edges()) {
     ASSERT_LT(e.from_bank, pp.num_banks());
     ASSERT_LT(e.to_bank, pp.num_banks());
     EXPECT_NE(e.from_bank, e.to_bank);
-    ASSERT_LT(e.from_pos, streams[e.from_bank].size());
-    ASSERT_LT(e.to_pos, streams[e.to_bank].size());
+    ASSERT_LT(e.from_pos, view.len(e.from_bank));
+    ASSERT_LT(e.to_pos, view.len(e.to_bank));
     // Signal strictly precedes the wait in lockstep step order — the
     // derived token graph is acyclic (deadlock-free) by construction.
-    EXPECT_LT(streams[e.from_bank][e.from_pos].step,
-              streams[e.to_bank][e.to_pos].step);
+    EXPECT_LT(view.step_of[view.id(e.from_bank, e.from_pos)],
+              view.step_of[view.id(e.to_bank, e.to_pos)]);
+  }
+}
+
+/// The stream view against a direct walk of the steps on random compiled
+/// programs: op ids ↔ (bank, position) ↔ program order, steps and bus
+/// flags all agree.
+TEST(StreamView, MatchesADirectWalkOfTheSteps) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    mig::RandomMigOptions opts;
+    opts.num_pis = 6;
+    opts.num_gates = 40 + static_cast<std::uint32_t>(seed * 29 % 60);
+    opts.num_pos = 3;
+    const auto compiled = core::compile(mig::random_mig(opts, seed));
+    for (const auto banks : kBankCounts) {
+      auto sopts = with_banks(banks);
+      sopts.cost.bus_width = seed % 2;
+      const auto result = schedule(compiled.program, sopts);
+      const auto& pp = result.program;
+      const StreamView view(pp);
+      ASSERT_EQ(view.banks, banks);
+      ASSERT_EQ(view.size(), pp.num_instructions());
+      ASSERT_EQ(view.order.size(), view.size());
+      std::vector<std::uint32_t> next_pos(banks, 0);
+      std::uint32_t k = 0;
+      for (std::uint32_t s = 0; s < pp.num_steps(); ++s) {
+        for (const auto& slot : pp.step(s)) {
+          const auto pos = next_pos[slot.bank]++;
+          const auto id = view.id(slot.bank, pos);
+          ASSERT_EQ(view.order[k++], id) << "step " << s;
+          EXPECT_EQ(view.bank_of[id], slot.bank);
+          EXPECT_EQ(view.pos(id), pos);
+          EXPECT_EQ(view.step_of[id], s);
+          EXPECT_EQ(view.slot[id], slot);
+          const auto [begin, end] = pp.bank_range(slot.bank);
+          bool remote = false;
+          for (const auto op : {slot.instr.a, slot.instr.b}) {
+            remote = remote || (op.is_rram() && (op.address() < begin ||
+                                                 op.address() >= end));
+          }
+          EXPECT_EQ(view.uses_bus[id], remote) << "step " << s;
+        }
+      }
+      for (std::uint32_t b = 0; b < banks; ++b) {
+        EXPECT_EQ(view.len(b), next_pos[b]) << "bank " << b;
+      }
+    }
   }
 }
 

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <array>
 #include <cstdio>
@@ -220,6 +221,46 @@ TEST(PlimcCli, DecoupledExecutionFlag) {
   // Decoupled execution without a schedule would be silently meaningless.
   (void)run_plimc("--benchmark ctrl --execution decoupled", status);
   EXPECT_NE(status, 0);
+}
+
+/// Numeric flags are plain decimal numbers within their bound (32 bits
+/// unless stated): anything else is a usage error, exit 2, at parse
+/// time — no wrap-around and no run at a truncated value.
+TEST(PlimcCli, RejectsMalformedAndOutOfRangeNumbers) {
+  if (!plimc_available()) {
+    GTEST_SKIP() << "plimc binary not in the working directory";
+  }
+  int status = 0;
+  const auto exit_code = [&] {
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  for (const char* flags :
+       {"--benchmark ctrl --banks 4294967297",
+        "--benchmark ctrl --effort 4294967297", "--benchmark ctrl --effort x",
+        "--benchmark ctrl --banks -1", "--benchmark ctrl --cap 1e3",
+        "--benchmark ctrl --banks 2 --refine-passes ''"}) {
+    const auto err = run_plimc_stderr(flags, status);
+    EXPECT_EQ(exit_code(), 2) << flags;
+    EXPECT_NE(err.find("usage: plimc"), std::string::npos) << flags;
+  }
+  // The serve-only bounds: --threads ≤ serve::kMaxWorkers, --listen ≤
+  // 65535. Every case also passes -o, which --serve refuses before any
+  // worker starts — so even a parser that let the value through could
+  // not spawn the threads; the usage text shows the parser refused.
+  for (const char* flags : {"--serve --threads 4294967295 -o /dev/null",
+                            "--serve --threads 257 -o /dev/null",
+                            "--serve --listen 70000 -o /dev/null"}) {
+    const auto err = run_plimc_stderr(flags, status);
+    EXPECT_EQ(exit_code(), 2) << flags;
+    EXPECT_NE(err.find("usage: plimc"), std::string::npos) << flags;
+    EXPECT_EQ(err.find("not supported with --serve"), std::string::npos)
+        << flags;
+  }
+  // In-range values still parse.
+  const auto out =
+      run_plimc("--benchmark ctrl --banks 2 --effort 1 --json -", status);
+  EXPECT_EQ(status, 0);
+  EXPECT_NE(out.find("\"banks\":2"), std::string::npos);
 }
 
 TEST(PlimcCli, WarningsGoToStderrAndKeepExitZero) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "arch/machine.hpp"
@@ -132,6 +134,74 @@ TEST(DepGraph, DetectsInitialStateReads) {
 /// value while the old value is still being consumed. A scheduler that
 /// ignores WAR/WAW (or renames incorrectly) reorders the re-initialization
 /// before the consume and computes g = b instead of g = a.
+/// The cross-segment read graph against brute force on random compiled
+/// programs (naive and smart candidates, so cell reuse varies): the rows
+/// hold exactly the distinct (def, reader segment) pairs with reader ≠
+/// producer segment, the per-segment rows are their transposes, and
+/// segment sizes partition the instructions.
+TEST(DepGraph, ReadGraphMatchesBruteForce) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    mig::RandomMigOptions opts;
+    opts.num_pis = 5 + static_cast<std::uint32_t>(seed % 3);
+    opts.num_gates = 40 + static_cast<std::uint32_t>(seed * 23 % 80);
+    opts.num_pos = 3;
+    core::CompileOptions copts;
+    copts.smart_candidates = seed % 2 == 0;
+    const auto compiled =
+        core::compile(mig::random_mig(opts, seed), copts);
+    const auto g = DependenceGraph::build(compiled.program);
+
+    std::set<std::pair<std::uint32_t, std::uint32_t>> expected;
+    std::vector<std::uint32_t> sizes(g.num_segments(), 0);
+    for (std::uint32_t i = 0; i < g.num_instructions(); ++i) {
+      ++sizes[g.segment_of(i)];
+      for (const auto def : {g.def_of_a(i), g.def_of_b(i)}) {
+        if (def != DependenceGraph::npos &&
+            g.segment_of(def) != g.segment_of(i)) {
+          expected.emplace(def, g.segment_of(i));
+        }
+      }
+    }
+    std::uint32_t size_sum = 0;
+    for (std::uint32_t s = 0; s < g.num_segments(); ++s) {
+      EXPECT_EQ(g.segment_size(s), sizes[s]) << "segment " << s;
+      size_sum += g.segment_size(s);
+    }
+    EXPECT_EQ(size_sum, g.num_instructions());
+
+    std::set<std::pair<std::uint32_t, std::uint32_t>> rows;
+    std::set<std::pair<std::uint32_t, std::uint32_t>> produced;
+    std::set<std::pair<std::uint32_t, std::uint32_t>> read;
+    for (std::uint32_t d = 0; d < g.num_read_defs(); ++d) {
+      if (d > 0) {
+        EXPECT_LT(g.read_def(d - 1), g.read_def(d));
+      }
+      EXPECT_EQ(g.producer_segment(d), g.segment_of(g.read_def(d)));
+      ASSERT_FALSE(g.reader_segments(d).empty());
+      for (const auto s : g.reader_segments(d)) {
+        EXPECT_TRUE(rows.emplace(g.read_def(d), s).second)
+            << "duplicate reader " << s << " of def " << g.read_def(d);
+        read.emplace(s, d);
+      }
+      produced.emplace(g.producer_segment(d), d);
+    }
+    EXPECT_EQ(rows, expected) << "seed " << seed;
+
+    std::set<std::pair<std::uint32_t, std::uint32_t>> produced_rows;
+    std::set<std::pair<std::uint32_t, std::uint32_t>> read_rows;
+    for (std::uint32_t s = 0; s < g.num_segments(); ++s) {
+      for (const auto d : g.produced_defs(s)) {
+        produced_rows.emplace(s, d);
+      }
+      for (const auto d : g.read_defs(s)) {
+        read_rows.emplace(s, d);
+      }
+    }
+    EXPECT_EQ(produced_rows, produced) << "seed " << seed;
+    EXPECT_EQ(read_rows, read) << "seed " << seed;
+  }
+}
+
 TEST(SchedHazards, WarWawOnReusedCell) {
   arch::Program p;
   const auto a = p.add_input("a");

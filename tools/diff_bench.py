@@ -11,6 +11,13 @@ committed run saved nothing, so zero-yield configs cannot trap noise).
 The top-level headline `average_decoupled_speedup_4_banks` is gated
 the same way: shrinking it by more than the tolerance fails the diff
 (missing on either side is noted and skipped).
+
+Compile cost is gated through the deterministic refinement work
+counters, which do not depend on the machine: `refine_moves_tried`
+(trial moves priced) or `refine_full_evals` (exact re-schedules)
+growing by more than the work tolerance (default 10%) fails the diff.
+A configuration whose committed counter is 0 or missing is skipped for
+that counter (no refinement ran there, so there is no baseline).
 Configurations are matched by (benchmark, mode, banks, bus_width);
 entries present on only one side are reported but do not fail the diff
 (benchmarks and sweep shapes may legitimately grow), and a metric
@@ -26,12 +33,17 @@ the nested "schedule" object. A block without one is a schema error
 (exit 2), never read as flat metrics.
 
 Usage: diff_bench.py committed.json fresh.json [--tolerance 0.05]
+                     [--work-tolerance 0.10]
 """
 
 import argparse
 import json
 import math
 import sys
+
+
+# Deterministic refinement work counters gated against growth.
+WORK_COUNTERS = ("refine_moves_tried", "refine_full_evals")
 
 
 class SchemaError(Exception):
@@ -103,6 +115,9 @@ def main():
     parser.add_argument("fresh")
     parser.add_argument("--tolerance", type=float, default=0.05,
                         help="allowed relative regression (default 5%%)")
+    parser.add_argument("--work-tolerance", type=float, default=0.10,
+                        help="allowed relative growth of the refine work "
+                             "counters (default 10%%)")
     args = parser.parse_args()
 
     with open(args.committed) as f:
@@ -141,6 +156,15 @@ def main():
         elif old[metric] > 0 and new[metric] < old[metric] * (
                 1.0 - args.tolerance):
             regressions.append((key, metric, old[metric], new[metric]))
+        # Deterministic compile-cost counters: work must not grow.
+        for metric in WORK_COUNTERS:
+            before = old.get(metric, 0)
+            if not before:
+                continue  # no committed baseline for this config
+            if metric not in new:
+                missing_metrics.add(metric)
+            elif new[metric] > before * (1.0 + args.work_tolerance):
+                regressions.append((key, metric, before, new[metric]))
     for metric in sorted(missing_metrics):
         print(f"note: metric {metric} missing on one side, skipped")
     for key in sorted(set(fresh) - set(committed)):
@@ -170,7 +194,8 @@ def main():
               f"{compared} configurations")
     else:
         print(f"diff_bench: OK — {compared} configurations within "
-              f"{args.tolerance:.0%}")
+              f"{args.tolerance:.0%} (work counters within "
+              f"{args.work_tolerance:.0%})")
     report_wall_clock(committed_blocks, fresh_blocks)
     return 1 if regressions else 0
 
