@@ -103,7 +103,6 @@ DependenceGraph DependenceGraph::build(const arch::Program& program) {
       }
     }
   }
-  g.build_read_graph();
   return g;
 }
 

@@ -132,6 +132,11 @@ class DependenceGraph {
   // order; every row below is built once, here, and shared by the
   // scheduler's seeding, clustering and refinement.
 
+  /// Builds the rows below; every accessor in this section requires it.
+  /// `build()` leaves them out because only a multi-bank assignment reads
+  /// them, so schedule() calls this on that path alone. Call it once.
+  void build_read_graph();
+
   /// Instructions of segment `s` (its chain length).
   [[nodiscard]] std::uint32_t segment_size(std::uint32_t s) const {
     return segment_size_[s];
@@ -169,7 +174,6 @@ class DependenceGraph {
       const std::vector<std::uint32_t>& payload, std::uint32_t k) {
     return {payload.data() + off[k], payload.data() + off[k + 1]};
   }
-  void build_read_graph();
 
   std::vector<Dep> dep_flat_;            ///< CSR payload
   std::vector<std::uint32_t> dep_offset_;  ///< CSR offsets (n + 1 entries)

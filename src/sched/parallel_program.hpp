@@ -283,7 +283,11 @@ struct ScheduleStats {
   double speedup = 0.0;      ///< serial_instructions / steps
   double schedule_ms = 0.0;  ///< scheduler wall-clock, refinement included
   double refine_ms = 0.0;    ///< of which: KL refinement passes
-  double sync_ms = 0.0;      ///< of which: sync derivation + decoupled timing
+  /// Of which: sync derivation, plus the decoupled timing pass when the
+  /// stream reorder did not run. When it runs (makespan objective, more
+  /// than one bank) the reorder's own timing of the program it leaves
+  /// stands in for that pass and is timed under sched.stream_order.
+  double sync_ms = 0.0;
 };
 
 /// Emits the stats as fields of the currently open JSON object — the one

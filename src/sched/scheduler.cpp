@@ -825,7 +825,7 @@ ScheduleResult schedule(const arch::Program& serial,
   if (opts.banks == 0) {
     throw std::invalid_argument("sched: banks must be >= 1");
   }
-  const auto graph = DependenceGraph::build(serial);
+  auto graph = DependenceGraph::build(serial);
   if (graph.reads_initial_state()) {
     throw std::invalid_argument(
         "sched: program reads RRAM cells it never wrote; its behaviour "
@@ -901,6 +901,11 @@ ScheduleResult schedule(const arch::Program& serial,
 
   if (banks > 1) {
     const util::TraceSpan assign_span("sched.assign");
+    // Clustering, the greedy seeds and refinement price assignments on
+    // the read graph; a hint-only assignment never reads it.
+    if (opts.placement_hints.empty() || opts.refine_passes > 0) {
+      graph.build_read_graph();
+    }
     if (!opts.placement_hints.empty()) {
       if (opts.placement_hints.size() < serial.num_rrams()) {
         throw std::invalid_argument(

@@ -201,7 +201,8 @@ TEST(Refine, AcceptedStateMatchesFreshExactEvaluation) {
     ropts.num_gates = 50 + static_cast<std::uint32_t>(seed * 37 % 70);
     ropts.num_pos = 3;
     const auto compiled = core::compile(mig::random_mig(ropts, seed));
-    const auto graph = DependenceGraph::build(compiled.program);
+    auto graph = DependenceGraph::build(compiled.program);
+    graph.build_read_graph();
     std::vector<std::uint32_t> cluster_of(graph.num_segments());
     std::iota(cluster_of.begin(), cluster_of.end(), 0u);
     for (const std::uint32_t banks : {2u, 4u, 8u}) {

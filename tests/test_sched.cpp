@@ -128,12 +128,6 @@ TEST(DepGraph, DetectsInitialStateReads) {
   EXPECT_THROW((void)schedule(p, with_banks(2)), std::invalid_argument);
 }
 
-// ---- hazard regressions -----------------------------------------------------
-
-/// Cell-reuse hazard: a freed cell is re-initialized for an unrelated
-/// value while the old value is still being consumed. A scheduler that
-/// ignores WAR/WAW (or renames incorrectly) reorders the re-initialization
-/// before the consume and computes g = b instead of g = a.
 /// The cross-segment read graph against brute force on random compiled
 /// programs (naive and smart candidates, so cell reuse varies): the rows
 /// hold exactly the distinct (def, reader segment) pairs with reader ≠
@@ -149,7 +143,8 @@ TEST(DepGraph, ReadGraphMatchesBruteForce) {
     copts.smart_candidates = seed % 2 == 0;
     const auto compiled =
         core::compile(mig::random_mig(opts, seed), copts);
-    const auto g = DependenceGraph::build(compiled.program);
+    auto g = DependenceGraph::build(compiled.program);
+    g.build_read_graph();
 
     std::set<std::pair<std::uint32_t, std::uint32_t>> expected;
     std::vector<std::uint32_t> sizes(g.num_segments(), 0);
@@ -202,6 +197,12 @@ TEST(DepGraph, ReadGraphMatchesBruteForce) {
   }
 }
 
+// ---- hazard regressions -----------------------------------------------------
+
+/// Cell-reuse hazard: a freed cell is re-initialized for an unrelated
+/// value while the old value is still being consumed. A scheduler that
+/// ignores WAR/WAW (or renames incorrectly) reorders the re-initialization
+/// before the consume and computes g = b instead of g = a.
 TEST(SchedHazards, WarWawOnReusedCell) {
   arch::Program p;
   const auto a = p.add_input("a");

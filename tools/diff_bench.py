@@ -15,7 +15,7 @@ the same way: shrinking it by more than the tolerance fails the diff
 Compile cost is gated through the deterministic refinement work
 counters, which do not depend on the machine: `refine_moves_tried`
 (trial moves priced) or `refine_full_evals` (exact re-schedules)
-growing by more than the work tolerance (default 10%) fails the diff.
+growing by more than WORK_TOLERANCE (10%) fails the diff.
 A configuration whose committed counter is 0 or missing is skipped for
 that counter (no refinement ran there, so there is no baseline).
 Configurations are matched by (benchmark, mode, banks, bus_width);
@@ -33,7 +33,6 @@ the nested "schedule" object. A block without one is a schema error
 (exit 2), never read as flat metrics.
 
 Usage: diff_bench.py committed.json fresh.json [--tolerance 0.05]
-                     [--work-tolerance 0.10]
 """
 
 import argparse
@@ -42,8 +41,10 @@ import math
 import sys
 
 
-# Deterministic refinement work counters gated against growth.
+# Deterministic refinement work counters gated against growth, and the
+# relative growth that fails the diff.
 WORK_COUNTERS = ("refine_moves_tried", "refine_full_evals")
+WORK_TOLERANCE = 0.10
 
 
 class SchemaError(Exception):
@@ -115,9 +116,6 @@ def main():
     parser.add_argument("fresh")
     parser.add_argument("--tolerance", type=float, default=0.05,
                         help="allowed relative regression (default 5%%)")
-    parser.add_argument("--work-tolerance", type=float, default=0.10,
-                        help="allowed relative growth of the refine work "
-                             "counters (default 10%%)")
     args = parser.parse_args()
 
     with open(args.committed) as f:
@@ -163,7 +161,7 @@ def main():
                 continue  # no committed baseline for this config
             if metric not in new:
                 missing_metrics.add(metric)
-            elif new[metric] > before * (1.0 + args.work_tolerance):
+            elif new[metric] > before * (1.0 + WORK_TOLERANCE):
                 regressions.append((key, metric, before, new[metric]))
     for metric in sorted(missing_metrics):
         print(f"note: metric {metric} missing on one side, skipped")
@@ -195,7 +193,7 @@ def main():
     else:
         print(f"diff_bench: OK — {compared} configurations within "
               f"{args.tolerance:.0%} (work counters within "
-              f"{args.work_tolerance:.0%})")
+              f"{WORK_TOLERANCE:.0%})")
     report_wall_clock(committed_blocks, fresh_blocks)
     return 1 if regressions else 0
 
