@@ -9,8 +9,8 @@
 ///             (core::BankedAllocator) and the scheduler follows its
 ///             placement hints —
 ///
-/// plus a bounded-bus sweep (widths 1, 2, unbounded) at 4 banks for both
-/// modes. Every schedule is cross-checked against its serial program on
+/// plus a bounded-bus sweep (widths 1 and 2) at 4 banks for both modes —
+/// the unbounded 4-bank figure is the `banks` sweep's own block. Every schedule is cross-checked against its serial program on
 /// random 64-lane patterns — under the lockstep machine *and* under
 /// decoupled execution — by the driver's built-in verification, and the
 /// whole trajectory is emitted as JSON (BENCH_sched.json in CI) so
@@ -23,8 +23,6 @@
 ///   - average post-placement 4-bank speedup must stay above 1.2x,
 ///   - voter at 8 banks must take fewer steps than at 4 banks (the
 ///     majority-subtree clustering guarantee),
-///   - compiler-side placement must need fewer total 4-bank transfers
-///     than the un-clustered post-hoc assignment (PR 1's scheme),
 ///   - compiler-side placement must match or beat post-hoc clustering on
 ///     average 4-bank step speedup (placement + interleaving +
 ///     refinement must not trail the post-hoc scheme it subsumes),
@@ -60,7 +58,7 @@
 namespace {
 
 constexpr std::uint32_t kBankCounts[] = {1, 2, 4, 8};
-constexpr std::uint32_t kBusWidths[] = {1, 2, 0};  // 0 = unbounded
+constexpr std::uint32_t kBusWidths[] = {1, 2};
 constexpr const char* kSmokeSet[] = {"ctrl",      "cavlc", "int2float",
                                      "router",    "dec",   "priority"};
 
@@ -173,7 +171,6 @@ int main(int argc, char** argv) {
   json.begin_array("benchmarks");
 
   std::map<std::string, ModeTotals> totals;  // "post" / "compiler"
-  std::uint64_t unclustered_transfers4 = 0;
   std::uint32_t voter_steps4 = 0;
   std::uint32_t voter_steps8 = 0;
   double best_decoupling = 0.0;  // max cycle reduction of decoupling
@@ -232,32 +229,12 @@ int main(int argc, char** argv) {
     json.begin_object();
     json.field("benchmark", spec.name);
 
-    // PR 1's scheme as the in-tree baseline: flat compile, per-segment
-    // cost assignment without clustering or refinement, 4 banks.
-    {
-      auto options = config_options(4, false, 4001 + circuits);
-      options.schedule.cluster = false;
-      options.schedule.refine_passes = 0;
-      const auto outcome = plim::Driver(options).run(request);
-      if (!outcome.ok()) {
-        std::cerr << spec.name << " (unclustered @ 4 banks): "
-                  << outcome.error_summary() << '\n';
-        return 1;
-      }
-      unclustered_transfers4 += outcome.stats.schedule->transfers;
-      json.begin_object("unclustered_4banks");
-      outcome.stats.write_json_fields(json);
-      json.end_object();
-    }
-
     for (const auto* mode : {"post", "compiler"}) {
       const bool compiler_placement = std::strcmp(mode, "compiler") == 0;
       json.begin_object(mode);
       std::vector<std::string> row = {spec.name, mode};
       std::string bus1_cell = "-";
-
-      // The 4-bank report is reused by the bus sweep below.
-      plim::StatsReport report4;
+      std::string dec4_cell = "-";
 
       json.begin_array("banks");
       for (const auto banks : kBankCounts) {
@@ -284,7 +261,7 @@ int main(int argc, char** argv) {
           totals[mode].transfers4 += s.transfers;
           row.insert(row.begin() + 2,
                      std::to_string(outcome.program.num_instructions()));
-          report4 = outcome.stats;
+          dec4_cell = fixed2(s.decoupled_speedup) + "x";
         }
         if (!compiler_placement && spec.name == "voter") {
           if (banks == 4) {
@@ -299,15 +276,6 @@ int main(int argc, char** argv) {
       // Bounded-bus sweep at 4 banks: how much does a narrow bus cost?
       json.begin_array("bus_4banks");
       for (const auto width : kBusWidths) {
-        if (width == 0) {
-          // Identical to the banks==4 run above (deterministic
-          // scheduler) — reuse its report instead of re-scheduling and
-          // re-verifying the largest circuits twice.
-          json.begin_object();
-          report4.write_json_fields(json);
-          json.end_object();
-          continue;
-        }
         auto options =
             config_options(4, compiler_placement, width * 131 + circuits);
         options.schedule.cost.bus_width = width;
@@ -330,7 +298,7 @@ int main(int argc, char** argv) {
       json.end_array();  // bus_4banks
       json.end_object();  // mode
       row.push_back(bus1_cell);
-      row.push_back(fixed2(report4.schedule->decoupled_speedup) + "x");
+      row.push_back(dec4_cell);
       table.add_row(std::move(row));
     }
     json.end_object();  // benchmark
@@ -361,7 +329,6 @@ int main(int argc, char** argv) {
   json.field("total_transfers_4_banks_post", totals["post"].transfers4);
   json.field("total_transfers_4_banks_compiler",
              totals["compiler"].transfers4);
-  json.field("total_transfers_4_banks_unclustered", unclustered_transfers4);
   if (voter_steps4 > 0) {
     json.field("voter_steps_4_banks", voter_steps4);
     json.field("voter_steps_8_banks", voter_steps8);
@@ -384,10 +351,8 @@ int main(int argc, char** argv) {
             << fixed2(100.0 * best_decoupling) << "% at "
             << (best_decoupling_config.empty() ? "-" : best_decoupling_config)
             << ")\n"
-            << "total 4-bank transfers: unclustered (PR 1 scheme) "
-            << unclustered_transfers4 << ", post "
-            << totals["post"].transfers4 << ", compiler-placement "
-            << totals["compiler"].transfers4 << "\n"
+            << "total 4-bank transfers: post " << totals["post"].transfers4
+            << ", compiler-placement " << totals["compiler"].transfers4 << "\n"
             << "total time " << elapsed << " ms\n";
 
   if (!json_path.empty() &&
@@ -399,15 +364,6 @@ int main(int argc, char** argv) {
   if (only.empty() && avg4_post <= 1.2) {
     std::cerr << "sched_speedup: average post 4-bank speedup "
               << fixed2(avg4_post) << "x is below the 1.2x regression bar\n";
-    ok = false;
-  }
-  if (only.empty() &&
-      totals["compiler"].transfers4 >= unclustered_transfers4) {
-    std::cerr << "sched_speedup: compiler placement needs "
-              << totals["compiler"].transfers4
-              << " transfers at 4 banks, not below the un-clustered "
-                 "post-hoc baseline of "
-              << unclustered_transfers4 << "\n";
     ok = false;
   }
   if (voter_steps4 > 0 && voter_steps8 >= voter_steps4) {

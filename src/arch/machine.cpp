@@ -225,14 +225,12 @@ std::vector<std::uint64_t> Machine::run_decoupled_words(
   const sched::StreamView view(program);
   sched::DecoupledTiming computed;
   if (precomputed == nullptr) {
-    computed = sched::decoupled_timing(program, view, width,
-                                       phases_per_instruction);
+    computed = sched::decoupled_timing(program, view, width);
     // Cycle-level per-bank timeline (no-op while tracing is disabled).
     // Only for timing computed here: callers passing a precomputed
     // timing (sched::verify re-runs the program once per round) already
     // had their one timeline emitted when that timing was derived.
-    sched::trace_decoupled_timeline(program, computed, phases_per_instruction,
-                                    "machine run");
+    sched::trace_decoupled_timeline(program, computed, "machine run");
   }
   const auto& timing = precomputed != nullptr ? *precomputed : computed;
 

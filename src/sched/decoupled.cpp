@@ -1,22 +1,28 @@
 #include "sched/decoupled.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "arch/machine.hpp"
-
 namespace plim::sched {
 
-namespace {
+std::uint64_t BusArbiter::grant(std::uint64_t ready) {
+  if (servers_.empty()) {
+    return ready;  // unbounded bus: no grant order, no contention
+  }
+  // In-order grant on the server that frees up first.
+  std::pop_heap(servers_.begin(), servers_.end(), std::greater<>());
+  const auto start = std::max({ready, last_start_, servers_.back()});
+  servers_.back() = start + kPhases;
+  std::push_heap(servers_.begin(), servers_.end(), std::greater<>());
+  last_start_ = start;
+  return start;
+}
 
-/// RM3 instruction cycle the phase-level endpoints index into: 0 fetch,
-/// 1 read A, 2 read B, phases − 1 write.
-constexpr std::uint32_t kPhases = arch::Machine::phases_per_instruction;
-constexpr std::uint32_t kWritePhase = kPhases - 1;
+namespace {
 
 /// Every cross-bank ordering the step schedule implies: for each remote
 /// read at step s of cell c, the last write of c before s must complete
@@ -66,8 +72,7 @@ std::vector<SyncEdge> required_edges(const ParallelProgram& p,
         if ((c >= begin && c < end) || c >= cells) {
           continue;  // local read / out of range (validate() reports)
         }
-        // The phase this operand is read in: 1 = read A, 2 = read B.
-        const auto read_phase = oi + 1;
+        const auto read_phase = oi == 0 ? kReadAPhase : kReadBPhase;
         const auto& w = writes[c];
         // RAW: wait on the last write strictly before the read's step.
         auto it = std::lower_bound(w.begin(), w.end(),
@@ -164,8 +169,8 @@ void derive_sync(ParallelProgram& program) {
   // the undominated antichain — the coalesced signal/wait pairs. Phase
   // offsets fold along: a dropped requirement is always dominated by
   // the pair's most recently kept edge, and at a strictly later signal
-  // (or strictly earlier wait) position the stream's phases − 1 issue
-  // cadence covers any phase offset, so only position ties constrain
+  // (or strictly earlier wait) position the stream's kIssueCadence
+  // covers any phase offset, so only position ties constrain
   // the survivor's phases (signal phase raised, wait phase lowered to
   // the strictest folded requirement).
   std::sort(req.begin(), req.end(), [](const SyncEdge& x, const SyncEdge& y) {
@@ -315,8 +320,8 @@ std::string check_sync(const ParallelProgram& program, const StreamView& view) {
   // the same bank pair that signals no earlier and waits no later. With
   // phase-level endpoints the comparison is lexicographic: a token at a
   // strictly later signal position (or strictly earlier wait position)
-  // covers any phase — the stream's phases − 1 issue cadence dominates a
-  // single instruction's phase offsets — while a position tie requires
+  // covers any phase — the stream's kIssueCadence dominates a single
+  // instruction's phase offsets — while a position tie requires
   // the token's signal phase to be ≥ (wait phase ≤) the hazard's.
   const auto req = required_edges(program, view);
   if (req.empty()) {
@@ -370,15 +375,18 @@ std::string check_sync(const ParallelProgram& program, const StreamView& view) {
 DecoupledTiming decoupled_timing(const ParallelProgram& program,
                                  std::uint32_t bus_width,
                                  std::uint64_t phases_per_instruction) {
-  return decoupled_timing(program, StreamView(program), bus_width,
-                          phases_per_instruction);
+  if (phases_per_instruction != kPhases) {
+    throw std::invalid_argument(
+        "decoupled_timing: the controller runs a " + std::to_string(kPhases) +
+        "-phase instruction cycle, not " +
+        std::to_string(phases_per_instruction));
+  }
+  return decoupled_timing(program, StreamView(program), bus_width);
 }
 
 DecoupledTiming decoupled_timing(const ParallelProgram& program,
                                  const StreamView& view,
-                                 std::uint32_t bus_width,
-                                 std::uint64_t phases_per_instruction) {
-  const auto phases = phases_per_instruction;
+                                 std::uint32_t bus_width) {
   DecoupledTiming t;
   t.bank_busy_cycles.assign(view.banks, 0);
   t.bank_idle_cycles.assign(view.banks, 0);
@@ -405,27 +413,17 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
 
   // Constraint edges, each with the cycle latency from the
   // predecessor's *start* to the earliest successor start:
-  //  - stream order: a bank controller prefetches the next instruction
-  //    of its own stream during the current write phase, so back-to-back
-  //    ops issue every phases − 1 cycles (the next read-A phase lands
-  //    exactly when the previous write commits — array-port-limited,
-  //    RM3-hazard-free). The lockstep machine cannot pipeline this:
-  //    fetch there follows the global step commit.
-  //  - sync tokens: phase-level — the consumer phase `to_phase` begins
-  //    no earlier than the cycle after producer phase `from_phase`
-  //    completes, i.e. a start-to-start latency of from_phase + 1 −
-  //    to_phase cycles. The default full-retirement handshake
-  //    (from_phase = phases − 1, to_phase = 0) degenerates to the full
-  //    `phases`; a RAW token that stalls only the consumer's read phase
-  //    costs 1–2 cycles less. Clamped at 0 so a waiting instruction
-  //    never launches before the one it waits on (the in-order
-  //    handshake the functional execution order below relies on).
-  //  - bus order (latency 0): the in-order arbiter grants bus slots in
-  //    program (step) order, so a later copy never starts before an
-  //    earlier one — the FIFO bus queue that keeps decoupled makespan
-  //    within the lockstep bound (phase-level latencies are only ever
-  //    tighter than the full-phase ones the bound was proved for).
-  const auto stream_latency = phases > 1 ? phases - 1 : phases;
+  //  - stream order: kIssueCadence between back-to-back ops of a bank.
+  //  - sync tokens: phase_latency(from_phase, to_phase). The default
+  //    full-retirement handshake (write → fetch) degenerates to the full
+  //    kPhases; a RAW token that stalls only the consumer's read phase
+  //    costs 1–2 cycles less.
+  //  - bus order (bounded bus only): bus ops chained in program (step)
+  //    order, the arbiter's grant order. The chain makes the traversal
+  //    below reach bus ops in grant order; the arbiter prices it (the
+  //    FIFO bus queue that keeps decoupled makespan within the lockstep
+  //    bound — phase-level latencies are only ever tighter than the
+  //    full-phase ones the bound was proved for).
   enum class EdgeKind : std::uint8_t { stream, sync, bus };
   struct Edge {
     std::uint32_t from;
@@ -437,23 +435,20 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
   edges.reserve(view.size() + program.sync_edges().size());
   for (std::uint32_t b = 0; b < view.banks; ++b) {
     for (std::uint32_t pos = 1; pos < view.len(b); ++pos) {
-      edges.push_back({view.id(b, pos - 1), view.id(b, pos), stream_latency,
+      edges.push_back({view.id(b, pos - 1), view.id(b, pos), kIssueCadence,
                        EdgeKind::stream});
     }
   }
-  const auto max_phase = phases > 0 ? phases - 1 : 0;
   for (const auto& e : program.sync_edges()) {
     if (e.from_bank < view.banks && e.to_bank < view.banks &&
         e.from_pos < view.len(e.from_bank) && e.to_pos < view.len(e.to_bank)) {
-      const auto fp = std::min<std::uint64_t>(e.from_phase, max_phase);
-      const auto tp = std::min<std::uint64_t>(e.to_phase, max_phase);
-      const auto latency = fp + 1 > tp ? fp + 1 - tp : 0;
+      const auto latency = phase_latency(std::min(e.from_phase, kWritePhase),
+                                         std::min(e.to_phase, kWritePhase));
       edges.push_back({view.id(e.from_bank, e.from_pos),
                        view.id(e.to_bank, e.to_pos), latency, EdgeKind::sync});
     }
   }
   if (bus_width > 0) {
-    // Bus ops chained in program order — the arbiter's grant order.
     auto prev = view.size();
     for (const auto gid : view.order) {
       if (uses_bus[gid]) {
@@ -487,13 +482,10 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
     }
   }
 
-  // Kahn over the constraint graph, accumulating dependency-ready times
-  // and bus-floor times (arbiter order) separately so arbiter delay is
-  // attributed as bus stall, not dependence. Bus-order chain edges make
-  // every bus op finalize after its predecessor in grant order, so the
-  // server heap is consumed in program order.
+  // Kahn over the constraint graph, accumulating dependency-ready times;
+  // the arbiter adds its grant order and server wait on top, attributed
+  // as bus stall, not dependence.
   std::vector<std::uint64_t> dep_ready(view.size(), 0);
-  std::vector<std::uint64_t> bus_floor(view.size(), 0);
   std::vector<std::uint64_t> start(view.size(), 0);
   // Contention-relaxed twin of the traversal: the same event graph
   // (stream, sync, and the arbiter's in-order grant chain) without the
@@ -506,12 +498,7 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
   // dependency readiness beyond it came through sync tokens, which is
   // how the per-op wait splits into sync_wait vs bus_wait below.
   std::vector<std::uint64_t> stream_ready(view.size(), 0);
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<>>
-      servers;
-  for (std::uint32_t k = 0; k < bus_width; ++k) {
-    servers.push(0);
-  }
+  BusArbiter bus(bus_width);
   std::vector<std::uint32_t> queue;
   queue.reserve(view.size());
   for (std::uint32_t i = 0; i < view.size(); ++i) {
@@ -523,24 +510,17 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
   while (head < queue.size()) {
     const auto i = queue[head++];
     const auto ready = dep_ready[i];
-    auto s = std::max(ready, bus_floor[i]);
-    if (bus_width > 0 && uses_bus[i]) {
-      const auto server = servers.top();
-      servers.pop();
-      s = std::max(s, server);
-      servers.push(s + phases);
-      t.bus_stall_cycles += s - ready;  // arbiter order + server wait
-    }
+    const auto s = uses_bus[i] ? bus.grant(ready) : ready;
+    t.bus_stall_cycles += s - ready;  // arbiter order + server wait
     start[i] = s;
-    const auto finish = s + phases;
+    const auto finish = s + kPhases;
     const auto s_lb = std::max(dep_ready_lb[i], bus_floor_lb[i]);
-    lb_span = std::max(lb_span, s_lb + phases);
+    lb_span = std::max(lb_span, s_lb + kPhases);
     const auto b = view.bank_of[i];
     t.bank_finish_cycles[b] = std::max(t.bank_finish_cycles[b], finish);
     for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
       const auto [j, latency, kind] = succ[k];
       if (kind == EdgeKind::bus) {
-        bus_floor[j] = std::max(bus_floor[j], s);
         bus_floor_lb[j] = std::max(bus_floor_lb[j], s_lb);
       } else {
         dep_ready[j] = std::max(dep_ready[j], s + latency);
@@ -565,22 +545,20 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
     // controller halts after the last op, it does not tick until the
     // global makespan); idle = the wait cycles actually burned between
     // issue opportunities.
-    t.bank_busy_cycles[b] =
-        view.len(b) > 0
-            ? std::uint64_t{view.len(b) - 1} * stream_latency + phases
-            : 0;
+    t.bank_busy_cycles[b] = stream_span(view.len(b));
     t.bank_idle_cycles[b] = t.bank_finish_cycles[b] - t.bank_busy_cycles[b];
     t.makespan_cycles = std::max(t.makespan_cycles, t.bank_finish_cycles[b]);
   }
 
   // Aggregate bus-throughput floor: every bus op occupies one of the
-  // `bus_width` servers for `phases` cycles, all inside the makespan.
+  // `bus_width` servers for kPhases cycles, all inside the makespan.
   t.makespan_lower_bound = lb_span;
   if (bus_width > 0) {
     const std::uint64_t bus_ops =
         std::count(uses_bus.begin(), uses_bus.end(), true);
-    t.makespan_lower_bound = std::max(
-        t.makespan_lower_bound, (bus_ops * phases + bus_width - 1) / bus_width);
+    t.makespan_lower_bound =
+        std::max(t.makespan_lower_bound,
+                 (bus_ops * kPhases + bus_width - 1) / bus_width);
   }
 
   // Functional execution order: (start, step, bank). Every data hazard

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "arch/machine.hpp"
 #include "sched/parallel_program.hpp"
 
 namespace plim::sched {
@@ -14,6 +15,68 @@ namespace plim::sched {
 /// cross-bank ordering comes from explicit sync tokens (SyncEdge) and
 /// the shared inter-bank bus. The lockstep step view stays the canonical
 /// storage (ParallelProgram); everything here is derived from it.
+///
+/// This header is the one owner of the decoupled controller's cost
+/// model — its phases, the phase-level latency of every ordering, the
+/// stream issue cadence and the bus arbiter. decoupled_timing (the model
+/// arch::Machine::run_decoupled executes), the scheduler's makespan
+/// surrogate, the stream reorder, the incremental evaluator and the
+/// trace timeline all price cycles through it.
+
+/// The RM3 instruction cycle of a bank controller, which SyncEdge phase
+/// endpoints index into: phase 0 fetches the instruction, read A and
+/// read B read the two operands, and the write phase commits the
+/// majority (the destination cell Z joins the vote there).
+inline constexpr std::uint32_t kPhases = arch::Machine::phases_per_instruction;
+inline constexpr std::uint32_t kReadAPhase = 1;
+inline constexpr std::uint32_t kReadBPhase = 2;
+inline constexpr std::uint32_t kWritePhase = kPhases - 1;
+
+/// Start-to-start latency of a phase-level ordering: the waiting op's
+/// `to_phase` begins the cycle after the watched op's `from_phase`
+/// completes, clamped at 0 so a waiting op never launches before the op
+/// it waits on. Prices sync tokens and op-level hazard edges alike — RAW
+/// via read A 3 cycles, via read B 2, WAR 0, WAW 1.
+[[nodiscard]] constexpr std::uint32_t phase_latency(std::uint32_t from_phase,
+                                                    std::uint32_t to_phase) {
+  return from_phase + 1 > to_phase ? from_phase + 1 - to_phase : 0;
+}
+
+/// Issue cadence of one bank's stream: the controller prefetches the
+/// next instruction during the current write phase, so the next read A
+/// lands exactly when the previous write commits. The lockstep machine
+/// cannot pipeline this — its fetch follows the global step commit.
+inline constexpr std::uint64_t kIssueCadence =
+    phase_latency(kWritePhase, kReadAPhase);
+
+/// Dense pipelined span of a serial stream of `n` ops: issues every
+/// kIssueCadence cycles, the last op retires after the full kPhases.
+[[nodiscard]] constexpr std::uint64_t stream_span(std::uint64_t n) {
+  return n > 0 ? (n - 1) * kIssueCadence + kPhases : 0;
+}
+
+/// The inter-bank bus arbiter. Bus ops are granted one at a time, in the
+/// caller's grant order. A bounded bus (width ≥ 1) grants in order — no
+/// grant starts before the previous one — on one of `width` servers,
+/// each held for kPhases cycles. An unbounded bus (width 0) imposes no
+/// grant order at all: every grant starts at its ready time. reset()
+/// reuses the server storage, so a warm arbiter allocates nothing.
+class BusArbiter {
+ public:
+  explicit BusArbiter(std::uint32_t width = 0) { reset(width); }
+
+  /// Restarts at cycle 0 with `width` idle servers (0 = unbounded).
+  void reset(std::uint32_t width) {
+    servers_.assign(width, 0);  // all-equal: already a min-heap
+    last_start_ = 0;
+  }
+  /// Grants the next bus op, ready at cycle `ready`; returns its start.
+  [[nodiscard]] std::uint64_t grant(std::uint64_t ready);
+
+ private:
+  std::vector<std::uint64_t> servers_;  ///< cycle each server frees up
+  std::uint64_t last_start_ = 0;        ///< previous grant (bounded bus)
+};
 
 /// The per-bank stream view of a program: its slots regrouped into each
 /// bank's serial stream — the one flattening every decoupled consumer
@@ -80,7 +143,7 @@ void derive_sync(ParallelProgram& program);
 /// the hazard requires — at equal stream positions the token's phases
 /// must be at least as strict (signal phase ≥, wait phase ≤) as the
 /// hazard's; at strictly later signal / earlier wait positions the
-/// stream's own `phases − 1` issue cadence covers any phase offset.
+/// stream's own kIssueCadence covers any phase offset.
 /// Returns an empty string when the tokens are sound, otherwise a
 /// description of the first violation. Called by
 /// ParallelProgram::validate() whenever tokens are present.
@@ -101,8 +164,7 @@ struct DecoupledTiming {
   /// critical path, and the throughput floor undercounts by ignoring
   /// when bus ops become ready.
   std::uint64_t makespan_lower_bound = 0;
-  /// Dense pipelined span of each bank's own stream:
-  /// (ops − 1) × (phases − 1) + phases.
+  /// Dense pipelined span of each bank's own stream (stream_span).
   std::vector<std::uint64_t> bank_busy_cycles;
   /// Wait cycles each bank's controller actually burned (finish − busy);
   /// a decoupled controller halts after its last op instead of ticking
@@ -126,36 +188,32 @@ struct DecoupledTiming {
   std::vector<std::uint64_t> bus_wait_cycles;
 };
 
-/// Event-driven timing of the decoupled execution. Every bank advances
-/// through its own serial stream; because its controller owns the
-/// stream, it prefetches the next instruction during the current write
-/// phase, so back-to-back ops issue every `phases − 1` cycles (the next
-/// read phase lands exactly when the previous write commits —
-/// array-port-limited and RM3-hazard-free). The lockstep machine cannot
-/// pipeline this: its fetch follows the global step commit, which is
-/// what makes a lockstep step cost the full `phases` for every bank,
-/// busy or not. A wait blocks only the consumer phase the token names
-/// (SyncEdge::to_phase) until the producer phase it watches
-/// (SyncEdge::from_phase) completes — the start-to-start latency of a
-/// token is max(0, from_phase + 1 − to_phase) cycles, clamped so a
-/// consumer never launches before its producer (the in-order handshake
-/// the functional simulator's execution order relies on); tokens
-/// themselves are free — they ride the controller handshake.
-/// Cross-bank copies contend for a
-/// `bus_width`-wide bus (0 = unbounded) whose arbiter grants slots in
-/// program (lockstep step) order — a FIFO bus queue, which keeps the
-/// decoupled makespan at or below the lockstep `steps × phases` bound
-/// for any schedule that honours its declared bus width.
+/// Event-driven timing of the decoupled execution under the cost model
+/// above. Every bank advances through its own serial stream at the
+/// kIssueCadence, where the lockstep machine pays the full kPhases per
+/// step for every bank, busy or not. A wait blocks only the consumer
+/// phase the token names (SyncEdge::to_phase) until the producer phase
+/// it watches (SyncEdge::from_phase) completes, after phase_latency —
+/// clamped so a consumer never launches before its producer (the
+/// in-order handshake the functional simulator's execution order relies
+/// on); tokens themselves are free — they ride the controller handshake.
+/// Cross-bank copies go through a `bus_width`-wide BusArbiter. A bounded
+/// bus grants in program (lockstep step) order — a FIFO bus queue, which
+/// keeps the decoupled makespan at or below the lockstep `steps × phases`
+/// bound for any schedule that honours its declared bus width; an
+/// unbounded bus (0) imposes no grant order.
 ///
-/// Throws std::logic_error when the program has cross-bank reads but no
-/// sync tokens (call derive_sync first) or when the token graph
+/// Throws std::invalid_argument when `phases_per_instruction` is not
+/// the controller's kPhases (check_sync ties token phases to that
+/// cycle), and std::logic_error when the program has cross-bank reads
+/// but no sync tokens (call derive_sync first) or when the token graph
 /// deadlocks.
 [[nodiscard]] DecoupledTiming decoupled_timing(
     const ParallelProgram& program, std::uint32_t bus_width,
     std::uint64_t phases_per_instruction);
 /// decoupled_timing over an already-built view of `program`.
-[[nodiscard]] DecoupledTiming decoupled_timing(
-    const ParallelProgram& program, const StreamView& view,
-    std::uint32_t bus_width, std::uint64_t phases_per_instruction);
+[[nodiscard]] DecoupledTiming decoupled_timing(const ParallelProgram& program,
+                                               const StreamView& view,
+                                               std::uint32_t bus_width);
 
 }  // namespace plim::sched

@@ -5,19 +5,9 @@
 #include <utility>
 #include <vector>
 
-#include "arch/machine.hpp"
+#include "sched/decoupled.hpp"
 
 namespace plim::sched {
-
-namespace {
-/// Dense pipelined span of a serial stream of `n` ops (a decoupled bank
-/// controller issues every phases − 1 cycles, the last op retires after
-/// the full phases): the unit the makespan model prices loads in.
-std::uint64_t stream_span(std::uint64_t n) {
-  constexpr std::uint64_t phases = arch::Machine::phases_per_instruction;
-  return n > 0 ? (n - 1) * (phases - 1) + phases : 0;
-}
-}  // namespace
 
 IncrementalEval::IncrementalEval(const DependenceGraph& graph,
                                  const CostModel& cost, std::uint32_t banks)

@@ -244,9 +244,10 @@ struct ScheduleStats {
   std::uint64_t makespan_cycles = 0;
   std::uint64_t lockstep_cycles = 0;  ///< steps × phases_per_instruction
   /// Event-driven makespan with independent bank controllers: per-bank
-  /// streams pipeline back-to-back ops at phases − 1 cycles (the
-  /// lockstep barrier forbids that prefetch), block on explicit sync
-  /// tokens, and share the bus through an in-order arbiter. Never
+  /// streams pipeline back-to-back ops at kIssueCadence (the lockstep
+  /// barrier forbids that prefetch), block on explicit sync tokens, and
+  /// share the bus through the BusArbiter (sched/decoupled.hpp: in order
+  /// on a bounded bus, no grant order on an unbounded one). Never
   /// exceeds lockstep_cycles for schedules that honour their declared
   /// bus width (the step barrier only ever over-synchronizes).
   std::uint64_t decoupled_cycles = 0;

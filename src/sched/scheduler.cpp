@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "arch/machine.hpp"
 #include "sched/clustering.hpp"
 #include "sched/decoupled.hpp"
 #include "sched/refine.hpp"
@@ -491,7 +490,7 @@ struct ListScratch {
   std::vector<std::uint32_t> picked;  ///< per bank, this step
   std::vector<std::uint64_t> start;
   std::vector<std::uint64_t> bank_free;
-  std::vector<std::uint64_t> servers;  ///< bus servers, min-heap
+  BusArbiter bus;  ///< reset per projected_makespan() trial
 };
 
 /// Slack-driven list scheduling into steps of at most one instruction
@@ -754,19 +753,17 @@ void list_schedule(const Expansion& ex, std::uint32_t banks,
 }
 
 /// Projected decoupled makespan of a packed virtual schedule, before
-/// emission: the same event model decoupled_timing charges — per-bank
-/// pipelined streams (issue cadence phases − 1), phase-accurate
-/// cross-bank RAW latencies (read-A waits 3 cycles behind the
-/// producer's start, read-B 2), and the in-order bounded bus — run over
-/// the virtual program directly. The virtual program is SSA (no WAR/WAW
-/// from cell reuse) and ignores the physical allocator's slack-guarded
+/// emission: the cost model decoupled_timing charges (sched/decoupled.hpp)
+/// — per-bank pipelined streams at the kIssueCadence, phase_latency on
+/// cross-bank RAW deps, and the BusArbiter fed in program order — run
+/// over the virtual program directly. The virtual program is SSA (no
+/// WAR/WAW from cell reuse) and ignores the physical allocator's slack-guarded
 /// recycling WARs, so this is an optimistic projection, but it moves
 /// with exactly the quantities refinement moves (chain shape, bank
 /// loads, transfer placement) — the right objective surrogate.
 std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
                                  std::uint32_t banks, std::uint32_t bus_width,
                                  ListScratch& ws) {
-  constexpr std::uint64_t phases = arch::Machine::phases_per_instruction;
   const auto& virt = ex.virt;
   const auto vn = static_cast<std::uint32_t>(virt.size());
   if (vn == 0) {
@@ -775,9 +772,7 @@ std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
   auto& start = ws.start;
   start.resize(vn);
   ws.bank_free.assign(banks, 0);
-  auto& servers = ws.servers;
-  servers.assign(bus_width, 0);  // all-equal: already a heap
-  std::uint64_t last_bus_start = 0;
+  ws.bus.reset(bus_width);
   std::uint64_t makespan = 0;
   // Slots in (step, bank) program order — topological (deps sit at
   // earlier steps) and the bus arbiter's grant order.
@@ -788,31 +783,23 @@ std::uint64_t projected_makespan(const Expansion& ex, const ListSchedule& ls,
       if (virt[p].bank == v.bank) {
         continue;  // same-bank deps ride the stream cadence
       }
-      // Which operand reads the dep decides the stalled phase: read A
-      // (phase 1) waits kWritePhase + 1 − 1 = 3 cycles behind the
-      // producer's start, read B 2. Deps not matching either operand
-      // (WAR-style chain edges) order starts without extra latency.
+      // Which operand reads the dep decides the stalled phase (read A or
+      // read B). Deps not matching either operand (WAR-style chain
+      // edges) order starts without extra latency.
       std::uint64_t latency = 0;
       if (v.a.is_rram() && v.a.address() == virt[p].z) {
-        latency = phases - 1;
+        latency = phase_latency(kWritePhase, kReadAPhase);
       } else if (v.b.is_rram() && v.b.address() == virt[p].z) {
-        latency = phases - 2;
+        latency = phase_latency(kWritePhase, kReadBPhase);
       }
       s = std::max(s, start[p] + latency);
     }
     if (v.uses_bus) {
-      s = std::max(s, last_bus_start);  // in-order grant chain
-      if (bus_width > 0) {
-        std::pop_heap(servers.begin(), servers.end(), std::greater<>());
-        s = std::max(s, servers.back());
-        servers.back() = s + phases;
-        std::push_heap(servers.begin(), servers.end(), std::greater<>());
-      }
-      last_bus_start = s;
+      s = ws.bus.grant(s);
     }
     start[i] = s;
-    ws.bank_free[v.bank] = s + (phases - 1);
-    makespan = std::max(makespan, s + phases);
+    ws.bank_free[v.bank] = s + kIssueCadence;
+    makespan = std::max(makespan, s + kPhases);
   }
   return makespan;
 }
@@ -1175,11 +1162,10 @@ ScheduleResult schedule(const arch::Program& serial,
   // strictly improves and the step count does not grow — see
   // sched/stream_order.hpp), with sync tokens re-derived for the new
   // streams. The pass hands back the timing of the program it leaves.
-  constexpr auto phases = arch::Machine::phases_per_instruction;
   std::optional<StreamOrderResult> reorder;
   if (makespan_objective && banks > 1) {
     const util::TraceSpan reorder_span("sched.stream_order");
-    reorder = reorder_streams(pp, opts.cost.bus_width, phases);
+    reorder = reorder_streams(pp);
   }
   const auto final_steps = pp.num_steps();
 
@@ -1232,7 +1218,7 @@ ScheduleResult schedule(const arch::Program& serial,
   // because every sync token and arbiter grant follows the step order.
   stats.execution = opts.execution;
   stats.sync_tokens = static_cast<std::uint32_t>(pp.sync_edges().size());
-  stats.lockstep_cycles = std::uint64_t{final_steps} * phases;
+  stats.lockstep_cycles = std::uint64_t{final_steps} * kPhases;
   DecoupledTiming timing;
   if (reorder) {
     timing = std::move(reorder->timing);
@@ -1240,15 +1226,14 @@ ScheduleResult schedule(const arch::Program& serial,
     double timing_ms = 0.0;
     {
       const util::ScopedPhase timing_phase("sched.timing", &timing_ms);
-      timing = decoupled_timing(pp, opts.cost.bus_width, phases);
+      timing = decoupled_timing(pp, opts.cost.bus_width, kPhases);
     }
     sync_ms += timing_ms;
   }
   if (opts.execution == ExecutionModel::decoupled && opts.trace_timeline) {
     // The cycle-level per-bank timeline (no-op unless tracing is on).
     trace_decoupled_timeline(
-        pp, timing, phases,
-        opts.trace_label.empty() ? "schedule" : opts.trace_label);
+        pp, timing, opts.trace_label.empty() ? "schedule" : opts.trace_label);
   }
   stats.decoupled_cycles = timing.makespan_cycles;
   stats.decoupled_bus_stall_cycles = timing.bus_stall_cycles;
@@ -1266,7 +1251,7 @@ ScheduleResult schedule(const arch::Program& serial,
     stats.bank_idle_cycles.assign(banks, 0);
     for (std::uint32_t b = 0; b < banks; ++b) {
       stats.bank_idle_cycles[b] =
-          (std::uint64_t{final_steps} - stats.bank_load[b]) * phases;
+          (std::uint64_t{final_steps} - stats.bank_load[b]) * kPhases;
     }
   }
   stats.refine_ms = refine_ms;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <queue>
 #include <utility>
 #include <vector>
 
-#include "arch/machine.hpp"
 #include "sched/decoupled.hpp"
 #include "util/metrics.hpp"
 
@@ -14,13 +12,10 @@ namespace plim::sched {
 
 namespace {
 
-constexpr std::uint32_t kPhases = arch::Machine::phases_per_instruction;
-constexpr std::uint32_t kWritePhase = kPhases - 1;
-
 struct HazardEdge {
   std::uint32_t from;
   std::uint32_t to;
-  std::uint32_t latency;  ///< start-to-start cycles, phase-accurate
+  std::uint32_t latency;  ///< start-to-start cycles (phase_latency)
 };
 
 /// Op-level hazard graph over physical cells, built from the program
@@ -28,9 +23,7 @@ struct HazardEdge {
 /// last write" are well defined). Ops are numbered in program order:
 /// op k is view id view.order[k]. Every RM3 op reads its destination
 /// cell too (Z enters the majority), consumed in the write phase.
-/// Latencies follow the phase-level sync contract: a dependent phase
-/// begins the cycle after the phase it watches completes, clamped at
-/// zero (start-to-start: max(0, from_phase + 1 − to_phase)).
+/// Latencies follow the phase-level sync contract (phase_latency).
 std::vector<HazardEdge> hazard_edges(const StreamView& view,
                                      std::uint32_t cells) {
   const auto total = view.size();
@@ -47,29 +40,31 @@ std::vector<HazardEdge> hazard_edges(const StreamView& view,
     }
     if (last_write[c] != total && last_write[c] != gid) {
       // RAW: the read phase starts after the producer's write commits.
-      edges.push_back({last_write[c], gid, kWritePhase + 1 - read_phase});
+      edges.push_back(
+          {last_write[c], gid, phase_latency(kWritePhase, read_phase)});
     }
     reads_since[c].emplace_back(gid, read_phase);
   };
   for (std::uint32_t gid = 0; gid < total; ++gid) {
     const auto& ins = view.slot[view.order[gid]].instr;
     if (ins.a.is_rram()) {
-      read(gid, ins.a.address(), 1);
+      read(gid, ins.a.address(), kReadAPhase);
     }
     if (ins.b.is_rram()) {
-      read(gid, ins.b.address(), 2);
+      read(gid, ins.b.address(), kReadBPhase);
     }
     read(gid, ins.z, kWritePhase);  // Z joins the majority in the write phase
     if (ins.z < cells) {
       for (const auto& [r, phase] : reads_since[ins.z]) {
         if (r != gid) {
           // WAR: the overwrite commits after the read's phase completes.
-          edges.push_back(
-              {r, gid, phase + 1 > kWritePhase ? phase + 1 - kWritePhase : 0});
+          edges.push_back({r, gid, phase_latency(phase, kWritePhase)});
         }
       }
       if (last_write[ins.z] != total && last_write[ins.z] != gid) {
-        edges.push_back({last_write[ins.z], gid, 1});  // WAW: write order
+        // WAW: write order.
+        edges.push_back(
+            {last_write[ins.z], gid, phase_latency(kWritePhase, kWritePhase)});
       }
       last_write[ins.z] = gid;
       reads_since[ins.z].clear();
@@ -80,18 +75,16 @@ std::vector<HazardEdge> hazard_edges(const StreamView& view,
 
 }  // namespace
 
-StreamOrderResult reorder_streams(ParallelProgram& program,
-                                  std::uint32_t bus_width,
-                                  std::uint64_t phases_per_instruction) {
+StreamOrderResult reorder_streams(ParallelProgram& program) {
   StreamOrderResult result;
-  const auto phases = phases_per_instruction;
+  const auto bus_width = program.bus_width();
   const StreamView view(program);
-  result.timing = decoupled_timing(program, view, bus_width, phases);
+  result.timing = decoupled_timing(program, view, bus_width);
   result.makespan_before = result.timing.makespan_cycles;
   result.makespan_after = result.timing.makespan_cycles;
   const auto total = view.size();
   const auto banks = view.banks;
-  if (total == 0 || banks == 0 || phases == 0) {
+  if (total == 0 || banks == 0) {
     return result;
   }
   // Op k (program order, see hazard_edges) ↔ its view id.
@@ -122,29 +115,28 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
 
   // Critical-path height (program order is a reverse-topological walk
   // when traversed backwards): the list scheduler's priority.
-  std::vector<std::uint64_t> height(total, phases);
+  std::vector<std::uint64_t> height(total, kPhases);
   for (std::uint32_t i = total; i-- > 0;) {
     for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
-      height[i] = std::max(height[i], phases + succ[k].second + height[succ[k].first]);
+      height[i] = std::max(height[i],
+                           kPhases + succ[k].second + height[succ[k].first]);
     }
   }
 
   // Event-driven greedy list scheduling per bank: every bank issues at
-  // its pipelined cadence (phases − 1), hazards gate dep_ready, bus ops
-  // additionally queue behind the in-order arbiter chain and a
-  // bus_width-wide server pool — the same cost model decoupled_timing
-  // charges, so minimizing start times here minimizes the modelled
-  // makespan. Among the ops a bank could issue at its earliest feasible
-  // time, the one with the greatest critical-path height goes first;
-  // across banks, the globally earliest feasible issue goes first (ties
-  // to the lower bank index).
+  // its kIssueCadence, hazards gate dep_ready, bus ops additionally go
+  // through the BusArbiter in issue order — the same cost model
+  // decoupled_timing charges, so minimizing start times here minimizes
+  // the modelled makespan. Among the ops a bank could issue at its
+  // earliest feasible time, the one with the greatest critical-path
+  // height goes first; across banks, the globally earliest feasible
+  // issue goes first (ties to the lower bank index).
   //
   // Two heaps per bank keep this O(n log n): `pending` holds released
   // ops keyed by dep_ready, and feeds `ready` — ops whose dep_ready has
   // passed the bank's clock, ordered by (height desc, flat id asc). A
   // bank's clock only moves forward, so an op never leaves `ready`
   // except by issuing: each op is pushed and popped once per heap.
-  const auto stream_latency = phases > 1 ? phases - 1 : phases;
   std::vector<std::uint64_t> dep_ready(total, 0);
   std::vector<std::uint64_t> bank_free(banks, 0);
   using Pending = std::pair<std::uint64_t, std::uint32_t>;  // (dep_ready, id)
@@ -181,13 +173,7 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
       release(i);
     }
   }
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<>>
-      servers;
-  for (std::uint32_t k = 0; k < bus_width; ++k) {
-    servers.push(0);
-  }
-  std::uint64_t last_bus_start = 0;
+  BusArbiter bus(bus_width);
   std::vector<std::uint32_t> issue_order;
   issue_order.reserve(total);
   while (issue_order.size() < total) {
@@ -222,18 +208,8 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
     const auto pick = heap.back();
     heap.pop_back();
     ++heap_ops;
-    auto start = best_time;
-    if (uses_bus(pick)) {
-      start = std::max(start, last_bus_start);  // in-order grant chain
-      if (bus_width > 0) {
-        const auto server = servers.top();
-        servers.pop();
-        start = std::max(start, server);
-        servers.push(start + phases);
-      }
-      last_bus_start = start;
-    }
-    bank_free[best_bank] = start + stream_latency;
+    const auto start = uses_bus(pick) ? bus.grant(best_time) : best_time;
+    bank_free[best_bank] = start + kIssueCadence;
     issue_order.push_back(pick);
     for (auto k = succ_off[pick]; k < succ_off[pick + 1]; ++k) {
       const auto [j, latency] = succ[k];
@@ -252,7 +228,6 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
   // step constraints forward along hazard edges keeps every read/write
   // pair in distinct steps (what validate() demands); bus ops
   // additionally bump past steps whose declared bus width is full.
-  const auto pack_width = program.bus_width();
   std::vector<std::uint32_t> min_step(total, 0);
   std::vector<std::uint32_t> step_of(total, 0);
   std::vector<std::uint32_t> bank_last(banks, 0);
@@ -264,8 +239,8 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
     if (bank_issued[b]) {
       st = std::max(st, bank_last[b] + 1);
     }
-    if (uses_bus(i) && pack_width > 0) {
-      while (st < step_bus.size() && step_bus[st] >= pack_width) {
+    if (uses_bus(i) && bus_width > 0) {
+      while (st < step_bus.size() && step_bus[st] >= bus_width) {
         ++st;
       }
     }
@@ -322,7 +297,7 @@ StreamOrderResult reorder_streams(ParallelProgram& program,
   if (!candidate.validate().empty()) {
     return result;  // defensive: never adopt a program validate() rejects
   }
-  auto after = decoupled_timing(candidate, bus_width, phases);
+  auto after = decoupled_timing(candidate, StreamView(candidate), bus_width);
   if (after.makespan_cycles >= result.makespan_before ||
       candidate.num_steps() > program.num_steps()) {
     return result;

@@ -24,8 +24,8 @@ struct StreamOrderResult {
 /// inheriting the lockstep step order. Bank assignment and cell
 /// allocation stay fixed; only the order ops issue within their bank
 /// changes. The pass list-schedules on the op-level hazard graph over
-/// physical cells (RAW/WAR/WAW per cell, phase-accurate cross-bank
-/// latencies) with the in-order bus arbiter modelled, prioritising by
+/// physical cells (RAW/WAR/WAW per cell, phase_latency-priced) with the
+/// bus arbiter modelled, prioritising by
 /// critical-path height, then repacks the new streams into lockstep
 /// steps (so the program stays a valid ParallelProgram — the lockstep
 /// view is the canonical storage) and re-derives sync tokens.
@@ -36,10 +36,9 @@ struct StreamOrderResult {
 /// Returns what happened either way; `program` is unchanged when
 /// `applied` is false.
 ///
-/// Expects a validated program; `bus_width` 0 means unbounded (matching
-/// decoupled_timing).
-StreamOrderResult reorder_streams(ParallelProgram& program,
-                                  std::uint32_t bus_width,
-                                  std::uint64_t phases_per_instruction);
+/// Expects a validated program; the bus is the program's declared
+/// bus_width() (0 = unbounded), priced by the cost model of
+/// sched/decoupled.hpp like decoupled_timing prices it.
+StreamOrderResult reorder_streams(ParallelProgram& program);
 
 }  // namespace plim::sched

@@ -10,14 +10,12 @@ namespace plim::sched {
 
 std::uint32_t trace_decoupled_timeline(const ParallelProgram& program,
                                        const DecoupledTiming& timing,
-                                       std::uint64_t phases_per_instruction,
                                        const std::string& label) {
   auto& tracer = util::Tracer::global();
   if (!tracer.enabled() || timing.order.empty() ||
       timing.start_cycles.size() != timing.order.size()) {
     return 0;
   }
-  const auto phases = phases_per_instruction;
   const auto banks = program.num_banks();
   const auto pid = tracer.reserve_pid();
   tracer.name_process(pid, "plim machine: " + label + " (cycles)");
@@ -27,7 +25,7 @@ std::uint32_t trace_decoupled_timeline(const ParallelProgram& program,
 
   // Per-bank op list in issue order; ops of one bank never overlap, so
   // each busy slice is clamped to the next issue (back-to-back pipelined
-  // ops issue every phases − 1 cycles while occupying phases).
+  // ops issue every kIssueCadence cycles while occupying kPhases).
   struct OpSlice {
     std::uint64_t start;
     std::uint64_t sync_wait;
@@ -69,13 +67,13 @@ std::uint32_t trace_decoupled_timeline(const ParallelProgram& program,
                         static_cast<double>(wait_begin + op.sync_wait),
                         static_cast<double>(op.bus_wait));
       }
-      auto busy_end = op.start + phases;
+      auto busy_end = op.start + kPhases;
       if (i + 1 < ops.size()) {
         busy_end = std::min(busy_end, ops[i + 1].start);
       }
       tracer.complete("busy", "busy", pid, b, static_cast<double>(op.start),
                       static_cast<double>(busy_end - op.start));
-      last_end = std::max(last_end, op.start + phases);
+      last_end = std::max(last_end, op.start + kPhases);
     }
     if (last_end < timing.makespan_cycles) {
       tracer.complete("idle", "idle", pid, b, static_cast<double>(last_end),
@@ -89,7 +87,6 @@ std::uint32_t trace_decoupled_timeline(const ParallelProgram& program,
   // draw mid-instruction, full-instruction tokens from write commit to
   // fetch, the arrows that make cross-bank bus transfers legible.
   const auto& sync = program.sync_edges();
-  const auto max_phase = phases > 0 ? phases - 1 : 0;
   for (std::size_t i = 0; i < sync.size(); ++i) {
     const auto& e = sync[i];
     if (e.from_bank >= banks || e.to_bank >= banks ||
@@ -100,14 +97,12 @@ std::uint32_t trace_decoupled_timeline(const ParallelProgram& program,
     const auto id = (std::uint64_t{pid} << 32) | i;  // unique across timelines
     tracer.flow_start("sync", pid, e.from_bank,
                       static_cast<double>(start_of[e.from_bank][e.from_pos] +
-                                          std::min<std::uint64_t>(e.from_phase,
-                                                                  max_phase) +
+                                          std::min(e.from_phase, kWritePhase) +
                                           1),
                       id);
     tracer.flow_finish("sync", pid, e.to_bank,
                        static_cast<double>(start_of[e.to_bank][e.to_pos] +
-                                           std::min<std::uint64_t>(e.to_phase,
-                                                                   max_phase)),
+                                           std::min(e.to_phase, kWritePhase)),
                        id);
   }
   return pid;

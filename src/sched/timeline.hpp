@@ -19,7 +19,6 @@ namespace plim::sched {
 /// reserved pid (0 when disabled).
 std::uint32_t trace_decoupled_timeline(const ParallelProgram& program,
                                        const DecoupledTiming& timing,
-                                       std::uint64_t phases_per_instruction,
                                        const std::string& label);
 
 }  // namespace plim::sched

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -20,7 +23,6 @@ namespace plim::sched {
 namespace {
 
 constexpr std::uint32_t kBankCounts[] = {1, 2, 4, 8};
-constexpr auto kPhases = arch::Machine::phases_per_instruction;
 
 ScheduleOptions with_banks(std::uint32_t banks) {
   ScheduleOptions opts;
@@ -166,6 +168,71 @@ TEST(DecoupledEquivalence, BoundedBusSchedules) {
     ASSERT_EQ(result.program.validate(), "");
     expect_decoupled_equivalent(compiled.program, result.program,
                                 900 + width);
+  }
+}
+
+// ---- cost model -------------------------------------------------------------
+
+TEST(CostModel, PhaseLatencyPricesEveryHazard) {
+  // RAW: the consumer's operand phase waits for the producer's write.
+  EXPECT_EQ(phase_latency(kWritePhase, kReadAPhase), 3u);
+  EXPECT_EQ(phase_latency(kWritePhase, kReadBPhase), 2u);
+  // WAR: the overwrite commits in its write phase, after either read.
+  EXPECT_EQ(phase_latency(kReadAPhase, kWritePhase), 0u);
+  EXPECT_EQ(phase_latency(kReadBPhase, kWritePhase), 0u);
+  // WAW: the second write lands the cycle after the first.
+  EXPECT_EQ(phase_latency(kWritePhase, kWritePhase), 1u);
+  // The full write → fetch handshake costs the whole instruction cycle.
+  EXPECT_EQ(phase_latency(kWritePhase, 0), kPhases);
+}
+
+TEST(BusArbiter, UnboundedBusGrantsAtTheReadyTime) {
+  // Width 0: no grant order and no contention, whatever order the
+  // grants come in.
+  BusArbiter bus(0);
+  for (const std::uint64_t ready : {9u, 2u, 2u, 40u, 0u, 7u}) {
+    EXPECT_EQ(bus.grant(ready), ready);
+  }
+}
+
+TEST(BusArbiter, BoundedBusGrantsInOrderWithinItsWidth) {
+  std::mt19937_64 rng(7);
+  BusArbiter bus;
+  for (const std::uint32_t width : {1u, 2u, 3u}) {
+    bus.reset(width);
+    std::vector<std::uint64_t> starts;
+    for (int k = 0; k < 200; ++k) {
+      const auto ready = rng() % 300;
+      const auto s = bus.grant(ready);
+      EXPECT_GE(s, ready);
+      if (!starts.empty()) {
+        EXPECT_GE(s, starts.back()) << "width " << width << ", grant " << k;
+      }
+      starts.push_back(s);
+    }
+    // A grant holds its server for kPhases cycles: at most `width`
+    // grants overlap at any cycle (checking each start suffices).
+    for (const auto t : starts) {
+      const auto in_flight =
+          std::count_if(starts.begin(), starts.end(), [&](std::uint64_t s) {
+            return s <= t && t < s + kPhases;
+          });
+      EXPECT_LE(in_flight, static_cast<std::ptrdiff_t>(width))
+          << "width " << width << ", cycle " << t;
+    }
+  }
+}
+
+TEST(DecoupledTiming, RejectsAForeignPhaseCount) {
+  // Token phases index the controller's own instruction cycle, so the
+  // timing runs on that cycle only.
+  const auto compiled = core::compile(circuits::make_ctrl());
+  const auto result = schedule(compiled.program, with_banks(2));
+  EXPECT_NO_THROW((void)decoupled_timing(result.program, 0, kPhases));
+  for (const std::uint64_t phases : {0u, 3u, 5u}) {
+    EXPECT_THROW((void)decoupled_timing(result.program, 0, phases),
+                 std::invalid_argument)
+        << phases << " phases";
   }
 }
 
@@ -350,7 +417,7 @@ TEST(StreamReorder, HoistsACriticalProducer) {
   const auto steps_before = p.num_steps();
   const auto before = decoupled_timing(p, 0, kPhases);
 
-  const auto r = reorder_streams(p, 0, kPhases);
+  const auto r = reorder_streams(p);
   EXPECT_TRUE(r.applied);
   EXPECT_EQ(r.makespan_before, before.makespan_cycles);
   EXPECT_LT(r.makespan_after, r.makespan_before);
@@ -371,7 +438,7 @@ TEST(StreamReorder, KeepsAnAlreadyTightScheduleUntouched) {
   auto result = schedule(compiled.program, opts);
   ASSERT_EQ(result.stats.decoupled_cycles, result.stats.makespan_lower_bound);
   const auto text = to_text(result.program);
-  const auto r = reorder_streams(result.program, 0, kPhases);
+  const auto r = reorder_streams(result.program);
   EXPECT_FALSE(r.applied);
   EXPECT_EQ(r.saved_cycles, 0u);
   EXPECT_EQ(to_text(result.program), text);
@@ -399,7 +466,7 @@ TEST(StreamReorder, HeapWorkIsLinearithmic) {
   auto& reg = util::MetricsRegistry::global();
   reg.reset();
   reg.set_enabled(true);
-  reorder_streams(p, 0, kPhases);
+  reorder_streams(p);
   const auto heap_ops = reg.counter("sched.stream_order.heap_ops");
   reg.set_enabled(false);
   reg.reset();

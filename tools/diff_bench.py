@@ -18,10 +18,12 @@ counters, which do not depend on the machine: `refine_moves_tried`
 growing by more than WORK_TOLERANCE (10%) fails the diff.
 A configuration whose committed counter is 0 or missing is skipped for
 that counter (no refinement ran there, so there is no baseline).
-Configurations are matched by (benchmark, mode, banks, bus_width);
-entries present on only one side are reported but do not fail the diff
-(benchmarks and sweep shapes may legitimately grow), and a metric
-missing on either side is noted and skipped (the JSON schema may grow).
+Configurations are matched by (benchmark, mode, banks, bus_width); a
+key that appears twice in one file is a schema error (exit 2), since
+one of its blocks would never be compared. Entries present on only one
+side are reported but do not fail the diff (benchmarks and sweep shapes
+may legitimately grow), and a metric missing on either side is noted
+and skipped (the JSON schema may grow).
 
 Wall-clock is reported, never gated: after the verdict, every matched
 configuration's `schedule_ms` committed -> fresh ratio is printed with
@@ -69,7 +71,18 @@ def schedule_ms(block):
 
 
 def entries(trajectory):
-    """Yield ((benchmark, mode, banks, bus_width), config block)."""
+    """Map (benchmark, mode, banks, bus_width) -> config block.
+
+    Two blocks under one key would hide one of them from the diff, so a
+    duplicate key is a schema error.
+    """
+    blocks = {}
+
+    def add(key, block):
+        if key in blocks:
+            raise SchemaError(f"duplicate configuration {key}")
+        blocks[key] = block
+
     for bench in trajectory.get("benchmarks", []):
         name = bench.get("benchmark", "?")
         for mode, payload in bench.items():
@@ -79,15 +92,17 @@ def entries(trajectory):
                     payload.get("banks"), list):
                 for block in payload["banks"]:
                     entry = sched(block)
-                    yield (name, mode, entry["banks"],
-                           entry.get("bus_width", 0)), block
+                    add((name, mode, entry["banks"],
+                         entry.get("bus_width", 0)), block)
                 for block in payload.get("bus_4banks", []):
-                    yield (name, mode, 4, sched(block).get("bus_width", 0)), block
+                    add((name, mode, 4, sched(block).get("bus_width", 0)),
+                        block)
             elif isinstance(payload, dict):
-                # single-config blocks (e.g. unclustered_4banks, cap60)
+                # single-config blocks (e.g. cap60)
                 entry = sched(payload)
-                yield (name, mode, entry.get("banks", 0),
-                       entry.get("bus_width", 0)), payload
+                add((name, mode, entry.get("banks", 0),
+                     entry.get("bus_width", 0)), payload)
+    return blocks
 
 
 def report_wall_clock(committed, fresh):
@@ -123,8 +138,8 @@ def main():
     with open(args.fresh) as f:
         fresh_top = json.load(f)
     try:
-        committed_blocks = dict(entries(committed_top))
-        fresh_blocks = dict(entries(fresh_top))
+        committed_blocks = entries(committed_top)
+        fresh_blocks = entries(fresh_top)
     except SchemaError as e:
         print(f"diff_bench: {e}")
         return 2
