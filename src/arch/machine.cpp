@@ -1,7 +1,6 @@
 #include "arch/machine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -11,60 +10,90 @@
 
 namespace plim::arch {
 
-std::vector<std::uint64_t> Machine::run_words(
-    const Program& program, const std::vector<std::uint64_t>& inputs,
-    const std::vector<std::uint64_t>& initial) {
-  if (inputs.size() != program.num_inputs()) {
-    throw std::invalid_argument("Machine::run_words: wrong input count");
-  }
-  std::vector<std::uint64_t> cells(program.num_rrams(), 0);
-  for (std::size_t i = 0; i < initial.size() && i < cells.size(); ++i) {
-    cells[i] = initial[i];
-  }
-  if (write_counts_.size() < cells.size()) {
-    write_counts_.resize(cells.size(), 0);
+namespace {
+
+/// The 64-lane array state of one run, the execution core the serial,
+/// lockstep and decoupled runs share: cells seeded from `initial` (the
+/// rest start at 0), operand reads against them and the run's inputs,
+/// and commits that count every cell write and instruction.
+class Lanes {
+ public:
+  template <class P>
+  Lanes(const P& program, const std::vector<std::uint64_t>& inputs,
+        const std::vector<std::uint64_t>& initial,
+        std::vector<std::uint64_t>& write_counts, std::uint64_t& instructions,
+        const char* caller)
+      : inputs_(inputs),
+        cells_(program.num_rrams(), 0),
+        write_counts_(write_counts),
+        instructions_(instructions) {
+    if (inputs.size() != program.num_inputs()) {
+      throw std::invalid_argument(std::string(caller) +
+                                  ": wrong input count");
+    }
+    std::copy_n(initial.begin(), std::min(initial.size(), cells_.size()),
+                cells_.begin());
+    if (write_counts_.size() < cells_.size()) {
+      write_counts_.resize(cells_.size(), 0);
+    }
   }
 
-  const auto read = [&](Operand op) -> std::uint64_t {
+  /// The RM3 result of `ins` against the current cell state.
+  [[nodiscard]] std::uint64_t eval(const Instruction& ins) const {
+    return rm3_words(read(ins.a), read(ins.b), cells_[ins.z]);
+  }
+  /// Writes one instruction's result to cell `z`.
+  void commit(std::uint32_t z, std::uint64_t value) {
+    cells_[z] = value;
+    ++write_counts_[z];
+    ++instructions_;
+  }
+  /// Evaluates and commits `ins` at once (serial and decoupled runs).
+  void apply(const Instruction& ins) { commit(ins.z, eval(ins)); }
+
+  template <class P>
+  [[nodiscard]] std::vector<std::uint64_t> outputs(const P& program) const {
+    std::vector<std::uint64_t> out(program.num_outputs());
+    for (std::uint32_t i = 0; i < program.num_outputs(); ++i) {
+      out[i] = cells_[program.output_cell(i)];
+    }
+    return out;
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t read(Operand op) const {
     switch (op.kind()) {
       case OperandKind::constant:
         return op.constant_value() ? ~std::uint64_t{0} : 0;
       case OperandKind::input:
-        return inputs[op.address()];
+        return inputs_[op.address()];
       case OperandKind::rram:
-        return cells[op.address()];
+        return cells_[op.address()];
     }
     return 0;  // unreachable
+  }
+
+  const std::vector<std::uint64_t>& inputs_;
+  std::vector<std::uint64_t> cells_;
+  std::vector<std::uint64_t>& write_counts_;
+  std::uint64_t& instructions_;
+};
+
+/// Runs a 64-lane `run_words(inputs, initial)` on single-bit vectors:
+/// every bit becomes an all-ones or all-zeros word, and lane 0 of each
+/// output word is the result.
+template <class RunWords>
+std::vector<bool> run_bits(const std::vector<bool>& inputs,
+                           const std::vector<bool>& initial,
+                           RunWords run_words) {
+  const auto words = [](const std::vector<bool>& bits) {
+    std::vector<std::uint64_t> w(bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      w[i] = bits[i] ? ~std::uint64_t{0} : 0;
+    }
+    return w;
   };
-
-  for (const auto& ins : program.instructions()) {
-    const std::uint64_t a = read(ins.a);
-    const std::uint64_t b = read(ins.b);
-    cells[ins.z] = rm3_words(a, b, cells[ins.z]);
-    ++write_counts_[ins.z];
-    ++instructions_;
-    cycles_ += phases_per_instruction;
-  }
-
-  std::vector<std::uint64_t> out(program.num_outputs());
-  for (std::uint32_t i = 0; i < program.num_outputs(); ++i) {
-    out[i] = cells[program.output_cell(i)];
-  }
-  return out;
-}
-
-std::vector<bool> Machine::run(const Program& program,
-                               const std::vector<bool>& inputs,
-                               const std::vector<bool>& initial) {
-  std::vector<std::uint64_t> in_words(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    in_words[i] = inputs[i] ? ~std::uint64_t{0} : 0;
-  }
-  std::vector<std::uint64_t> init_words(initial.size());
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    init_words[i] = initial[i] ? ~std::uint64_t{0} : 0;
-  }
-  const auto out_words = run_words(program, in_words, init_words);
+  const auto out_words = run_words(words(inputs), words(initial));
   std::vector<bool> out(out_words.size());
   for (std::size_t i = 0; i < out_words.size(); ++i) {
     out[i] = (out_words[i] & 1) != 0;
@@ -72,37 +101,39 @@ std::vector<bool> Machine::run(const Program& program,
   return out;
 }
 
+}  // namespace
+
+std::vector<std::uint64_t> Machine::run_words(
+    const Program& program, const std::vector<std::uint64_t>& inputs,
+    const std::vector<std::uint64_t>& initial) {
+  Lanes lanes(program, inputs, initial, write_counts_, instructions_,
+              "Machine::run_words");
+  for (const auto& ins : program.instructions()) {
+    lanes.apply(ins);
+    cycles_ += phases_per_instruction;
+  }
+  return lanes.outputs(program);
+}
+
+std::vector<bool> Machine::run(const Program& program,
+                               const std::vector<bool>& inputs,
+                               const std::vector<bool>& initial) {
+  return run_bits(inputs, initial, [&](const auto& in, const auto& init) {
+    return run_words(program, in, init);
+  });
+}
+
 std::vector<std::uint64_t> Machine::run_parallel_words(
     const sched::ParallelProgram& program,
     const std::vector<std::uint64_t>& inputs,
     const std::vector<std::uint64_t>& initial) {
-  if (inputs.size() != program.num_inputs()) {
-    throw std::invalid_argument("Machine::run_parallel_words: wrong input count");
-  }
-  std::vector<std::uint64_t> cells(program.num_rrams(), 0);
-  for (std::size_t i = 0; i < initial.size() && i < cells.size(); ++i) {
-    cells[i] = initial[i];
-  }
-  if (write_counts_.size() < cells.size()) {
-    write_counts_.resize(cells.size(), 0);
-  }
-
-  const auto read = [&](Operand op) -> std::uint64_t {
-    switch (op.kind()) {
-      case OperandKind::constant:
-        return op.constant_value() ? ~std::uint64_t{0} : 0;
-      case OperandKind::input:
-        return inputs[op.address()];
-      case OperandKind::rram:
-        return cells[op.address()];
-    }
-    return 0;  // unreachable
-  };
+  Lanes lanes(program, inputs, initial, write_counts_, instructions_,
+              "Machine::run_parallel_words");
 
   // Scratch for the two-phase step execution: read everything against the
   // pre-step state, then commit all writes at once.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> writes;
-  std::vector<std::uint32_t> step_written(cells.size(), 0);
+  std::vector<std::uint32_t> step_written(program.num_rrams(), 0);
   std::uint32_t step_stamp = 0;
 
   const auto declared_bus = program.bus_width();
@@ -133,10 +164,7 @@ std::vector<std::uint64_t> Machine::run_parallel_words(
                                std::to_string(slot.instr.z + 1) + " twice");
       }
       step_written[slot.instr.z] = step_stamp;
-      const std::uint64_t a = read(slot.instr.a);
-      const std::uint64_t b = read(slot.instr.b);
-      writes.emplace_back(slot.instr.z,
-                          rm3_words(a, b, cells[slot.instr.z]));
+      writes.emplace_back(slot.instr.z, lanes.eval(slot.instr));
       if (slot.bank < program.num_banks()) {
         ++bank_instrs[slot.bank];
       }
@@ -155,9 +183,7 @@ std::vector<std::uint64_t> Machine::run_parallel_words(
       }
     }
     for (const auto& [cell, value] : writes) {
-      cells[cell] = value;
-      ++write_counts_[cell];
-      ++instructions_;
+      lanes.commit(cell, value);
     }
     run_cycles += phases_per_instruction;  // one lockstep phase set per step
     // Hardware-honest bus accounting: a machine-side width serializes
@@ -182,30 +208,15 @@ std::vector<std::uint64_t> Machine::run_parallel_words(
   }
   account_bank_cycles(bank_instrs, bank_idle);
 
-  std::vector<std::uint64_t> out(program.num_outputs());
-  for (std::uint32_t i = 0; i < program.num_outputs(); ++i) {
-    out[i] = cells[program.output_cell(i)];
-  }
-  return out;
+  return lanes.outputs(program);
 }
 
 std::vector<bool> Machine::run_parallel(const sched::ParallelProgram& program,
                                         const std::vector<bool>& inputs,
                                         const std::vector<bool>& initial) {
-  std::vector<std::uint64_t> in_words(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    in_words[i] = inputs[i] ? ~std::uint64_t{0} : 0;
-  }
-  std::vector<std::uint64_t> init_words(initial.size());
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    init_words[i] = initial[i] ? ~std::uint64_t{0} : 0;
-  }
-  const auto out_words = run_parallel_words(program, in_words, init_words);
-  std::vector<bool> out(out_words.size());
-  for (std::size_t i = 0; i < out_words.size(); ++i) {
-    out[i] = (out_words[i] & 1) != 0;
-  }
-  return out;
+  return run_bits(inputs, initial, [&](const auto& in, const auto& init) {
+    return run_parallel_words(program, in, init);
+  });
 }
 
 std::vector<std::uint64_t> Machine::run_decoupled_words(
@@ -213,19 +224,17 @@ std::vector<std::uint64_t> Machine::run_decoupled_words(
     const std::vector<std::uint64_t>& inputs,
     const std::vector<std::uint64_t>& initial,
     const sched::DecoupledTiming* precomputed) {
-  if (inputs.size() != program.num_inputs()) {
-    throw std::invalid_argument(
-        "Machine::run_decoupled_words: wrong input count");
-  }
+  Lanes lanes(program, inputs, initial, write_counts_, instructions_,
+              "Machine::run_decoupled_words");
   // Static timing first: every controller's op start time under the sync
   // tokens and the in-order bus arbiter. Throws on missing/insufficient
   // sync tokens and on deadlock. The arbiter width is the machine's when
   // set, else the program's declared bus.
-  const auto width = bus_width_ > 0 ? bus_width_ : program.bus_width();
-  const sched::StreamView view(program);
   sched::DecoupledTiming computed;
   if (precomputed == nullptr) {
-    computed = sched::decoupled_timing(program, view, width);
+    computed = sched::decoupled_timing(
+        program, bus_width_ > 0 ? bus_width_ : program.bus_width(),
+        phases_per_instruction);
     // Cycle-level per-bank timeline (no-op while tracing is disabled).
     // Only for timing computed here: callers passing a precomputed
     // timing (sched::verify re-runs the program once per round) already
@@ -234,26 +243,6 @@ std::vector<std::uint64_t> Machine::run_decoupled_words(
   }
   const auto& timing = precomputed != nullptr ? *precomputed : computed;
 
-  std::vector<std::uint64_t> cells(program.num_rrams(), 0);
-  for (std::size_t i = 0; i < initial.size() && i < cells.size(); ++i) {
-    cells[i] = initial[i];
-  }
-  if (write_counts_.size() < cells.size()) {
-    write_counts_.resize(cells.size(), 0);
-  }
-
-  const auto read = [&](Operand op) -> std::uint64_t {
-    switch (op.kind()) {
-      case OperandKind::constant:
-        return op.constant_value() ? ~std::uint64_t{0} : 0;
-      case OperandKind::input:
-        return inputs[op.address()];
-      case OperandKind::rram:
-        return cells[op.address()];
-    }
-    return 0;  // unreachable
-  };
-
   // Functional execution in start-time order: there is no step barrier —
   // every read sees the latest committed value, which the sync tokens
   // guarantee is exactly the value the lockstep schedule intended.
@@ -261,44 +250,29 @@ std::vector<std::uint64_t> Machine::run_decoupled_words(
   // latencies at zero so a consumer never starts before its producer,
   // and its order breaks start-time ties producer-first (lockstep step,
   // then bank), so applying whole instructions in `timing.order` is
-  // equivalent to the phase-interleaved hardware execution.
-  for (const auto& [bank, pos] : timing.order) {
-    const auto& ins = view.slot[view.id(bank, pos)].instr;
-    const std::uint64_t a = read(ins.a);
-    const std::uint64_t b = read(ins.b);
-    cells[ins.z] = rm3_words(a, b, cells[ins.z]);
-    ++write_counts_[ins.z];
-    ++instructions_;
+  // equivalent to the phase-interleaved hardware execution. Each op's
+  // slot is its bank's one slot in its lockstep step.
+  for (std::size_t i = 0; i < timing.order.size(); ++i) {
+    const auto bank = timing.order[i].first;
+    const auto& step = program.step(timing.steps[i]);
+    lanes.apply(std::find_if(step.begin(), step.end(),
+                             [&](const sched::Slot& slot) {
+                               return slot.bank == bank;
+                             })->instr);
   }
 
   cycles_ += timing.makespan_cycles;
   bus_stall_cycles_ += timing.bus_stall_cycles;
   account_bank_cycles(timing.bank_busy_cycles, timing.bank_idle_cycles);
-
-  std::vector<std::uint64_t> out(program.num_outputs());
-  for (std::uint32_t i = 0; i < program.num_outputs(); ++i) {
-    out[i] = cells[program.output_cell(i)];
-  }
-  return out;
+  return lanes.outputs(program);
 }
 
 std::vector<bool> Machine::run_decoupled(const sched::ParallelProgram& program,
                                          const std::vector<bool>& inputs,
                                          const std::vector<bool>& initial) {
-  std::vector<std::uint64_t> in_words(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    in_words[i] = inputs[i] ? ~std::uint64_t{0} : 0;
-  }
-  std::vector<std::uint64_t> init_words(initial.size());
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    init_words[i] = initial[i] ? ~std::uint64_t{0} : 0;
-  }
-  const auto out_words = run_decoupled_words(program, in_words, init_words);
-  std::vector<bool> out(out_words.size());
-  for (std::size_t i = 0; i < out_words.size(); ++i) {
-    out[i] = (out_words[i] & 1) != 0;
-  }
-  return out;
+  return run_bits(inputs, initial, [&](const auto& in, const auto& init) {
+    return run_decoupled_words(program, in, init);
+  });
 }
 
 void Machine::account_bank_cycles(const std::vector<std::uint64_t>& busy,

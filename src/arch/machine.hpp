@@ -85,9 +85,11 @@ class Machine {
   /// 64-lane bit-parallel form of `run_decoupled`. The static timing is
   /// input-independent; callers running the same program many times
   /// (equivalence verification) can compute sched::decoupled_timing
-  /// once and pass it as `timing` to skip the per-run analysis — the
-  /// caller is then responsible for having used the matching bus width
-  /// and a checked (validated) program.
+  /// once and pass it as `timing` to skip the per-run analysis, stream
+  /// view included — the caller is then responsible for having used the
+  /// matching bus width and a checked (validated) program. Each op is
+  /// found as its bank's slot in its lockstep step, so a step must hold
+  /// at most one slot per bank, as validate() demands.
   [[nodiscard]] std::vector<std::uint64_t> run_decoupled_words(
       const sched::ParallelProgram& program,
       const std::vector<std::uint64_t>& inputs,

@@ -22,109 +22,6 @@ std::uint64_t BusArbiter::grant(std::uint64_t ready) {
   return start;
 }
 
-namespace {
-
-/// Every cross-bank ordering the step schedule implies: for each remote
-/// read at step s of cell c, the last write of c before s must complete
-/// first (RAW) and the first write of c after s must wait for the read
-/// (WAR). Reads and writes of one cell in the *same* step cannot happen
-/// (validate() forbids it), so the two binary searches cover everything;
-/// earlier/later writes of the owning chain are ordered transitively
-/// through the owner bank's own stream. Requirements are phase-level:
-/// a RAW requirement stalls only the consumer phase that reads the
-/// operand (read A or read B) and signals at the producer's write-phase
-/// completion; a WAR requirement signals when the remote read's operand
-/// phase completes and stalls only the overwriter's write phase.
-/// Requirements equal up to phases are merged to the strictest pair
-/// (latest signal phase, earliest wait phase).
-std::vector<SyncEdge> required_edges(const ParallelProgram& p,
-                                     const StreamView& view) {
-  const auto cells = p.num_rrams();
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> writes(
-      cells);  // per cell: (step, op id), step-sorted
-  for (std::uint32_t gid = 0; gid < view.size(); ++gid) {
-    const auto z = view.slot[gid].instr.z;
-    if (z < cells) {
-      writes[z].emplace_back(view.step_of[gid], gid);
-    }
-  }
-  for (auto& w : writes) {
-    std::sort(w.begin(), w.end());
-  }
-
-  std::vector<SyncEdge> req;
-  for (std::uint32_t b = 0; b < view.banks; ++b) {
-    const auto [begin, end] = p.bank_range(b);
-    for (std::uint32_t pos = 0; pos < view.len(b); ++pos) {
-      const auto gid = view.id(b, pos);
-      if (!view.uses_bus[gid]) {
-        continue;  // only remote reads carry cross-bank hazards
-      }
-      const auto s = view.step_of[gid];
-      const arch::Operand operands[2] = {view.slot[gid].instr.a,
-                                         view.slot[gid].instr.b};
-      for (std::uint32_t oi = 0; oi < 2; ++oi) {
-        const auto op = operands[oi];
-        if (!op.is_rram()) {
-          continue;
-        }
-        const auto c = op.address();
-        if ((c >= begin && c < end) || c >= cells) {
-          continue;  // local read / out of range (validate() reports)
-        }
-        const auto read_phase = oi == 0 ? kReadAPhase : kReadBPhase;
-        const auto& w = writes[c];
-        // RAW: wait on the last write strictly before the read's step.
-        auto it = std::lower_bound(w.begin(), w.end(),
-                                   std::make_pair(s, std::uint32_t{0}));
-        if (it != w.begin()) {
-          const auto wg = std::prev(it)->second;
-          const auto wb = view.bank_of[wg];
-          if (wb != b) {
-            req.push_back({wb, view.pos(wg), b, pos, kWritePhase, read_phase});
-          }
-        }
-        // WAR: the cell's next overwrite waits on this read.
-        it = std::lower_bound(w.begin(), w.end(),
-                              std::make_pair(s + 1, std::uint32_t{0}));
-        if (it != w.end()) {
-          const auto wg = it->second;
-          const auto wb = view.bank_of[wg];
-          if (wb != b) {
-            req.push_back({b, pos, wb, view.pos(wg), read_phase, kWritePhase});
-          }
-        }
-      }
-    }
-  }
-  std::sort(req.begin(), req.end());
-  // Merge requirements that differ only in phases (e.g. one op reading a
-  // remote cell through both operands) into the strictest pair: the
-  // signal must fire after the *latest* producer phase any of them
-  // watches, the wait must stall the *earliest* consumer phase any of
-  // them protects.
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < req.size();) {
-    auto merged = req[i];
-    auto j = i + 1;
-    for (; j < req.size(); ++j) {
-      const auto& e = req[j];
-      if (e.from_bank != merged.from_bank || e.from_pos != merged.from_pos ||
-          e.to_bank != merged.to_bank || e.to_pos != merged.to_pos) {
-        break;
-      }
-      merged.from_phase = std::max(merged.from_phase, e.from_phase);
-      merged.to_phase = std::min(merged.to_phase, e.to_phase);
-    }
-    req[out++] = merged;
-    i = j;
-  }
-  req.resize(out);
-  return req;
-}
-
-}  // namespace
-
 StreamView::StreamView(const ParallelProgram& program)
     : banks(program.num_banks()), off(banks + 1, 0) {
   for (std::uint32_t s = 0; s < program.num_steps(); ++s) {
@@ -158,6 +55,288 @@ StreamView::StreamView(const ParallelProgram& program)
     }
   }
 }
+
+std::vector<HazardEdge> hazard_edges(const ParallelProgram& program,
+                                     const StreamView& view) {
+  const auto cells = program.num_rrams();
+  constexpr std::uint32_t none = UINT32_MAX;
+  std::vector<HazardEdge> edges;
+  edges.reserve(std::size_t{view.size()} * 3);
+  // Per cell: the last write so far, and the reads since it as a list
+  // (newest first) threaded through one pool.
+  struct Read {
+    std::uint32_t op;
+    std::uint32_t phase;
+    bool remote;
+    std::uint32_t prev;
+  };
+  std::vector<std::uint32_t> last_write(cells, none);
+  std::vector<std::uint32_t> last_read(cells, none);
+  std::vector<Read> reads;
+  reads.reserve(std::size_t{view.size()} * 3);
+  for (const auto id : view.order) {
+    const auto bank = view.bank_of[id];
+    const auto read = [&](std::uint32_t c, std::uint32_t phase, bool remote) {
+      if (c >= cells) {
+        return;
+      }
+      if (const auto w = last_write[c]; w != none) {
+        // RAW: the read phase starts after the producer's write commits.
+        edges.push_back(
+            {w, id, kWritePhase, phase, remote && view.bank_of[w] != bank});
+      }
+      reads.push_back({id, phase, remote, last_read[c]});
+      last_read[c] = static_cast<std::uint32_t>(reads.size() - 1);
+    };
+    const auto& ins = view.slot[id].instr;
+    const auto [begin, end] = program.bank_range(bank);
+    const std::pair<arch::Operand, std::uint32_t> operands[2] = {
+        {ins.a, kReadAPhase}, {ins.b, kReadBPhase}};
+    for (const auto& [op, phase] : operands) {
+      if (op.is_rram()) {
+        const auto c = op.address();
+        read(c, phase, c < begin || c >= end);
+      }
+    }
+    read(ins.z, kWritePhase, false);  // Z joins the majority when written
+    if (ins.z >= cells) {
+      continue;
+    }
+    for (auto r = last_read[ins.z]; r != none; r = reads[r].prev) {
+      if (const auto& rd = reads[r]; rd.op != id) {
+        // WAR: the overwrite commits after the read's phase completes.
+        edges.push_back({rd.op, id, rd.phase, kWritePhase,
+                         rd.remote && view.bank_of[rd.op] != bank});
+      }
+    }
+    if (const auto w = last_write[ins.z]; w != none) {
+      edges.push_back({w, id, kWritePhase, kWritePhase, false});  // WAW
+    }
+    last_write[ins.z] = id;
+    last_read[ins.z] = none;
+  }
+  return edges;
+}
+
+OpGraph::OpGraph(std::uint32_t ops, const std::vector<Arc>& arcs)
+    : off_(ops + 1, 0), arcs_(arcs.size()), indegree_(ops, 0) {
+  for (const auto& a : arcs) {
+    ++off_[a.from + 1];
+    ++indegree_[a.to];
+  }
+  for (std::uint32_t i = 0; i < ops; ++i) {
+    off_[i + 1] += off_[i];
+  }
+  auto cursor = off_;
+  for (const auto& a : arcs) {
+    arcs_[cursor[a.from]++] = a;
+  }
+}
+
+std::vector<std::uint32_t> OpGraph::fifo_order() const {
+  auto indeg = indegree_;
+  std::vector<std::uint32_t> queue;
+  queue.reserve(size());
+  for (std::uint32_t i = 0; i < size(); ++i) {
+    if (indeg[i] == 0) {
+      queue.push_back(i);
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (const auto& a : succ(queue[head])) {
+      if (--indeg[a.to] == 0) {
+        queue.push_back(a.to);
+      }
+    }
+  }
+  return queue;
+}
+
+namespace {
+
+/// The one constraint graph of a decoupled run over `view`'s op ids:
+///  - stream order: kIssueCadence between back-to-back ops of a bank;
+///  - sync tokens: phase_latency(from_phase, to_phase) (tokens naming
+///    ops outside the streams are left out; check_sync reports them);
+///  - on a bounded bus (`bus_width` ≥ 1) only: the bus ops chained in
+///    program order, the arbiter's grant order, at latency 0. The chain
+///    makes the FIFO order reach bus ops in grant order; the arbiter
+///    prices it.
+/// check_sync's deadlock test and decoupled_timing both walk it.
+OpGraph constraint_graph(const ParallelProgram& program, const StreamView& view,
+                         std::uint32_t bus_width) {
+  using Kind = OpGraph::Kind;
+  std::vector<OpGraph::Arc> arcs;
+  arcs.reserve(view.size() + program.sync_edges().size());
+  for (std::uint32_t b = 0; b < view.banks; ++b) {
+    for (std::uint32_t pos = 1; pos < view.len(b); ++pos) {
+      arcs.push_back({view.id(b, pos - 1), view.id(b, pos),
+                      static_cast<std::uint32_t>(kIssueCadence), Kind::stream});
+    }
+  }
+  for (const auto& e : program.sync_edges()) {
+    if (e.from_bank < view.banks && e.to_bank < view.banks &&
+        e.from_pos < view.len(e.from_bank) && e.to_pos < view.len(e.to_bank)) {
+      arcs.push_back({view.id(e.from_bank, e.from_pos),
+                      view.id(e.to_bank, e.to_pos),
+                      phase_latency(std::min(e.from_phase, kWritePhase),
+                                    std::min(e.to_phase, kWritePhase)),
+                      Kind::sync});
+    }
+  }
+  if (bus_width > 0) {
+    auto prev = view.size();
+    for (const auto id : view.order) {
+      if (view.uses_bus[id]) {
+        if (prev != view.size()) {
+          arcs.push_back({prev, id, 0, Kind::bus});
+        }
+        prev = id;
+      }
+    }
+  }
+  return OpGraph(view.size(), arcs);
+}
+
+/// The cross-bank edges of the hazard walk as phase-level sync
+/// requirements, sorted. Requirements between the same two ops (one op
+/// reading a remote cell through both operands) are merged into the
+/// strictest pair: the signal must fire after the *latest* producer
+/// phase any of them watches, the wait must stall the *earliest*
+/// consumer phase any of them protects.
+std::vector<SyncEdge> required_edges(const ParallelProgram& program,
+                                     const StreamView& view) {
+  std::vector<SyncEdge> req;
+  for (const auto& e : hazard_edges(program, view)) {
+    if (e.cross_bank) {
+      req.push_back({view.bank_of[e.from], view.pos(e.from),
+                     view.bank_of[e.to], view.pos(e.to), e.from_phase,
+                     e.to_phase});
+    }
+  }
+  std::sort(req.begin(), req.end());
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < req.size();) {
+    auto merged = req[i];
+    auto j = i + 1;
+    for (; j < req.size(); ++j) {
+      const auto& e = req[j];
+      if (e.from_bank != merged.from_bank || e.from_pos != merged.from_pos ||
+          e.to_bank != merged.to_bank || e.to_pos != merged.to_pos) {
+        break;
+      }
+      merged.from_phase = std::max(merged.from_phase, e.from_phase);
+      merged.to_phase = std::min(merged.to_phase, e.to_phase);
+    }
+    req[out++] = merged;
+    i = j;
+  }
+  req.resize(out);
+  return req;
+}
+
+/// check_sync with the deadlock test decided by the caller: `acyclic`
+/// says whether the constraint graph of the run being checked has no
+/// cycle.
+std::string check_tokens(const ParallelProgram& program,
+                         const StreamView& view, bool acyclic) {
+  const auto& sync = program.sync_edges();
+  const auto token = [](std::size_t i) {
+    return "sync token t" + std::to_string(i + 1);
+  };
+  for (std::size_t i = 0; i < sync.size(); ++i) {
+    const auto& e = sync[i];
+    if (e.from_bank >= view.banks || e.to_bank >= view.banks) {
+      return token(i) + ": no such bank";
+    }
+    if (e.from_bank == e.to_bank) {
+      return token(i) + ": connects bank " + std::to_string(e.from_bank) +
+             " to itself";
+    }
+    if (e.from_pos >= view.len(e.from_bank)) {
+      return token(i) + ": signal position " + std::to_string(e.from_pos + 1) +
+             " beyond bank " + std::to_string(e.from_bank) + "'s stream";
+    }
+    if (e.to_pos >= view.len(e.to_bank)) {
+      return token(i) + ": wait position " + std::to_string(e.to_pos + 1) +
+             " beyond bank " + std::to_string(e.to_bank) + "'s stream";
+    }
+    if (e.from_phase >= kPhases) {
+      return token(i) + ": signal phase " + std::to_string(e.from_phase) +
+             " beyond the " + std::to_string(kPhases) +
+             "-phase instruction cycle";
+    }
+    if (e.to_phase >= kPhases) {
+      return token(i) + ": wait phase " + std::to_string(e.to_phase) +
+             " beyond the " + std::to_string(kPhases) +
+             "-phase instruction cycle";
+    }
+  }
+
+  // Deadlock-freedom: a cycle in the constraint graph hangs the waiting
+  // controllers forever.
+  if (!acyclic) {
+    return "synchronization deadlock: bank streams and sync tokens form a "
+           "cycle";
+  }
+
+  // Coverage: every cross-bank hazard must be implied by a token between
+  // the same bank pair that signals no earlier and waits no later. With
+  // phase-level endpoints the comparison is lexicographic: a token at a
+  // strictly later signal position (or strictly earlier wait position)
+  // covers any phase — the stream's kIssueCadence dominates a single
+  // instruction's phase offsets — while a position tie requires
+  // the token's signal phase to be ≥ (wait phase ≤) the hazard's.
+  const auto req = required_edges(program, view);
+  if (req.empty()) {
+    return {};
+  }
+  // Per ordered pair: stored ((from_pos, from_phase), (to_pos, to_phase))
+  // keys sorted by the signal key with a suffix minimum over the wait
+  // key, so each query is one binary search. Phases are < kPhases (
+  // checked above), so packing them into the low bits keeps the packed
+  // order lexicographic.
+  const auto signal_key = [](std::uint32_t pos, std::uint32_t phase) {
+    return (std::uint64_t{pos} << 8) | phase;
+  };
+  const auto wait_key = signal_key;
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> stored(
+      std::size_t{view.banks} * view.banks);
+  for (const auto& e : sync) {
+    stored[std::size_t{e.from_bank} * view.banks + e.to_bank].emplace_back(
+        signal_key(e.from_pos, e.from_phase), wait_key(e.to_pos, e.to_phase));
+  }
+  std::vector<std::vector<std::uint64_t>> suffix_min(stored.size());
+  for (std::size_t k = 0; k < stored.size(); ++k) {
+    auto& list = stored[k];
+    std::sort(list.begin(), list.end());
+    auto& mins = suffix_min[k];
+    mins.resize(list.size());
+    auto running = ~std::uint64_t{0};
+    for (std::size_t j = list.size(); j-- > 0;) {
+      running = std::min(running, list[j].second);
+      mins[j] = running;
+    }
+  }
+  for (const auto& r : req) {
+    const auto k = std::size_t{r.from_bank} * view.banks + r.to_bank;
+    const auto& list = stored[k];
+    const auto it = std::lower_bound(
+        list.begin(), list.end(),
+        std::make_pair(signal_key(r.from_pos, r.from_phase), std::uint64_t{0}));
+    const auto j = static_cast<std::size_t>(it - list.begin());
+    if (j >= list.size() || suffix_min[k][j] > wait_key(r.to_pos, r.to_phase)) {
+      return "missing synchronization: bank " + std::to_string(r.to_bank) +
+             "'s instruction " + std::to_string(r.to_pos + 1) +
+             " reads across banks but no sync token orders it after bank " +
+             std::to_string(r.from_bank) + "'s instruction " +
+             std::to_string(r.from_pos + 1);
+    }
+  }
+  return {};
+}
+
+}  // namespace
 
 void derive_sync(ParallelProgram& program) {
   auto req = required_edges(program, StreamView(program));
@@ -228,148 +407,9 @@ std::string check_sync(const ParallelProgram& program) {
 }
 
 std::string check_sync(const ParallelProgram& program, const StreamView& view) {
-  const auto& sync = program.sync_edges();
-  const auto token = [](std::size_t i) {
-    return "sync token t" + std::to_string(i + 1);
-  };
-  for (std::size_t i = 0; i < sync.size(); ++i) {
-    const auto& e = sync[i];
-    if (e.from_bank >= view.banks || e.to_bank >= view.banks) {
-      return token(i) + ": no such bank";
-    }
-    if (e.from_bank == e.to_bank) {
-      return token(i) + ": connects bank " + std::to_string(e.from_bank) +
-             " to itself";
-    }
-    if (e.from_pos >= view.len(e.from_bank)) {
-      return token(i) + ": signal position " + std::to_string(e.from_pos + 1) +
-             " beyond bank " + std::to_string(e.from_bank) + "'s stream";
-    }
-    if (e.to_pos >= view.len(e.to_bank)) {
-      return token(i) + ": wait position " + std::to_string(e.to_pos + 1) +
-             " beyond bank " + std::to_string(e.to_bank) + "'s stream";
-    }
-    if (e.from_phase >= kPhases) {
-      return token(i) + ": signal phase " + std::to_string(e.from_phase) +
-             " beyond the " + std::to_string(kPhases) +
-             "-phase instruction cycle";
-    }
-    if (e.to_phase >= kPhases) {
-      return token(i) + ": wait phase " + std::to_string(e.to_phase) +
-             " beyond the " + std::to_string(kPhases) +
-             "-phase instruction cycle";
-    }
-  }
-
-  // Deadlock-freedom: per-bank stream order plus the tokens must be
-  // acyclic, or the waiting controllers hang forever. (This ordering
-  // graph must stay edge-for-edge consistent with the constraint graph
-  // decoupled_timing() builds — the timing run is what a cycle would
-  // actually hang.)
-  {
-    std::vector<std::uint32_t> indeg(view.size(), 0);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;  // from → to
-    edges.reserve(view.size() + sync.size());
-    for (std::uint32_t b = 0; b < view.banks; ++b) {
-      for (std::uint32_t pos = 1; pos < view.len(b); ++pos) {
-        edges.emplace_back(view.id(b, pos - 1), view.id(b, pos));
-      }
-    }
-    for (const auto& e : sync) {
-      edges.emplace_back(view.id(e.from_bank, e.from_pos),
-                         view.id(e.to_bank, e.to_pos));
-    }
-    std::vector<std::uint32_t> succ_off(view.size() + 1, 0);
-    for (const auto& [from, to] : edges) {
-      ++succ_off[from + 1];
-      ++indeg[to];
-    }
-    for (std::uint32_t i = 0; i < view.size(); ++i) {
-      succ_off[i + 1] += succ_off[i];
-    }
-    std::vector<std::uint32_t> succ(edges.size());
-    {
-      auto cursor = succ_off;
-      for (const auto& [from, to] : edges) {
-        succ[cursor[from]++] = to;
-      }
-    }
-    std::vector<std::uint32_t> queue;
-    queue.reserve(view.size());
-    for (std::uint32_t i = 0; i < view.size(); ++i) {
-      if (indeg[i] == 0) {
-        queue.push_back(i);
-      }
-    }
-    std::size_t head = 0;
-    while (head < queue.size()) {
-      const auto i = queue[head++];
-      for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
-        if (--indeg[succ[k]] == 0) {
-          queue.push_back(succ[k]);
-        }
-      }
-    }
-    if (queue.size() != view.size()) {
-      return "synchronization deadlock: bank streams and sync tokens form a "
-             "cycle";
-    }
-  }
-
-  // Coverage: every cross-bank hazard must be implied by a token between
-  // the same bank pair that signals no earlier and waits no later. With
-  // phase-level endpoints the comparison is lexicographic: a token at a
-  // strictly later signal position (or strictly earlier wait position)
-  // covers any phase — the stream's kIssueCadence dominates a single
-  // instruction's phase offsets — while a position tie requires
-  // the token's signal phase to be ≥ (wait phase ≤) the hazard's.
-  const auto req = required_edges(program, view);
-  if (req.empty()) {
-    return {};
-  }
-  // Per ordered pair: stored ((from_pos, from_phase), (to_pos, to_phase))
-  // keys sorted by the signal key with a suffix minimum over the wait
-  // key, so each query is one binary search. Phases are < kPhases (
-  // checked above), so packing them into the low bits keeps the packed
-  // order lexicographic.
-  const auto signal_key = [](std::uint32_t pos, std::uint32_t phase) {
-    return (std::uint64_t{pos} << 8) | phase;
-  };
-  const auto wait_key = signal_key;
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> stored(
-      std::size_t{view.banks} * view.banks);
-  for (const auto& e : sync) {
-    stored[std::size_t{e.from_bank} * view.banks + e.to_bank].emplace_back(
-        signal_key(e.from_pos, e.from_phase), wait_key(e.to_pos, e.to_phase));
-  }
-  std::vector<std::vector<std::uint64_t>> suffix_min(stored.size());
-  for (std::size_t k = 0; k < stored.size(); ++k) {
-    auto& list = stored[k];
-    std::sort(list.begin(), list.end());
-    auto& mins = suffix_min[k];
-    mins.resize(list.size());
-    auto running = ~std::uint64_t{0};
-    for (std::size_t j = list.size(); j-- > 0;) {
-      running = std::min(running, list[j].second);
-      mins[j] = running;
-    }
-  }
-  for (const auto& r : req) {
-    const auto k = std::size_t{r.from_bank} * view.banks + r.to_bank;
-    const auto& list = stored[k];
-    const auto it = std::lower_bound(
-        list.begin(), list.end(),
-        std::make_pair(signal_key(r.from_pos, r.from_phase), std::uint64_t{0}));
-    const auto j = static_cast<std::size_t>(it - list.begin());
-    if (j >= list.size() || suffix_min[k][j] > wait_key(r.to_pos, r.to_phase)) {
-      return "missing synchronization: bank " + std::to_string(r.to_bank) +
-             "'s instruction " + std::to_string(r.to_pos + 1) +
-             " reads across banks but no sync token orders it after bank " +
-             std::to_string(r.from_bank) + "'s instruction " +
-             std::to_string(r.from_pos + 1);
-    }
-  }
-  return {};
+  return check_tokens(
+      program, view,
+      constraint_graph(program, view, 0).fifo_order().size() == view.size());
 }
 
 DecoupledTiming decoupled_timing(const ParallelProgram& program,
@@ -395,6 +435,17 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
     return t;
   }
 
+  // Constraint edges (constraint_graph), each with the cycle latency
+  // from the predecessor's *start* to the earliest successor start. The
+  // default full-retirement token (write → fetch) costs the full
+  // kPhases; a RAW token that stalls only the consumer's read phase
+  // costs 1–2 cycles less. On a bounded bus the grant chain makes the
+  // FIFO order below reach bus ops in grant order, the FIFO bus queue
+  // that keeps decoupled makespan within the lockstep bound (phase-level
+  // latencies are only ever tighter than the full-phase ones the bound
+  // was proved for).
+  const auto graph = constraint_graph(program, view, bus_width);
+  const auto fifo = graph.fifo_order();
   const auto& uses_bus = view.uses_bus;
   if (std::find(uses_bus.begin(), uses_bus.end(), true) != uses_bus.end()) {
     if (!program.has_sync()) {
@@ -406,89 +457,25 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
     // a token set that misses a hazard would make the execution racy
     // (the functional simulator follows these start times), so the full
     // structural + deadlock + coverage check gates every timing run.
-    if (const auto err = check_sync(program, view); !err.empty()) {
+    if (const auto err =
+            check_tokens(program, view, fifo.size() == view.size());
+        !err.empty()) {
       throw std::logic_error("decoupled execution: " + err);
     }
   }
-
-  // Constraint edges, each with the cycle latency from the
-  // predecessor's *start* to the earliest successor start:
-  //  - stream order: kIssueCadence between back-to-back ops of a bank.
-  //  - sync tokens: phase_latency(from_phase, to_phase). The default
-  //    full-retirement handshake (write → fetch) degenerates to the full
-  //    kPhases; a RAW token that stalls only the consumer's read phase
-  //    costs 1–2 cycles less.
-  //  - bus order (bounded bus only): bus ops chained in program (step)
-  //    order, the arbiter's grant order. The chain makes the traversal
-  //    below reach bus ops in grant order; the arbiter prices it (the
-  //    FIFO bus queue that keeps decoupled makespan within the lockstep
-  //    bound — phase-level latencies are only ever tighter than the
-  //    full-phase ones the bound was proved for).
-  enum class EdgeKind : std::uint8_t { stream, sync, bus };
-  struct Edge {
-    std::uint32_t from;
-    std::uint32_t to;
-    std::uint64_t latency;
-    EdgeKind kind;
-  };
-  std::vector<Edge> edges;
-  edges.reserve(view.size() + program.sync_edges().size());
-  for (std::uint32_t b = 0; b < view.banks; ++b) {
-    for (std::uint32_t pos = 1; pos < view.len(b); ++pos) {
-      edges.push_back({view.id(b, pos - 1), view.id(b, pos), kIssueCadence,
-                       EdgeKind::stream});
-    }
-  }
-  for (const auto& e : program.sync_edges()) {
-    if (e.from_bank < view.banks && e.to_bank < view.banks &&
-        e.from_pos < view.len(e.from_bank) && e.to_pos < view.len(e.to_bank)) {
-      const auto latency = phase_latency(std::min(e.from_phase, kWritePhase),
-                                         std::min(e.to_phase, kWritePhase));
-      edges.push_back({view.id(e.from_bank, e.from_pos),
-                       view.id(e.to_bank, e.to_pos), latency, EdgeKind::sync});
-    }
-  }
-  if (bus_width > 0) {
-    auto prev = view.size();
-    for (const auto gid : view.order) {
-      if (uses_bus[gid]) {
-        if (prev != view.size()) {
-          edges.push_back({prev, gid, 0, EdgeKind::bus});
-        }
-        prev = gid;
-      }
-    }
+  if (fifo.size() != view.size()) {
+    throw std::logic_error(
+        "decoupled execution deadlocked: bank streams and sync tokens form "
+        "a cycle");
   }
 
-  std::vector<std::uint32_t> indeg(view.size(), 0);
-  std::vector<std::uint32_t> succ_off(view.size() + 1, 0);
-  for (const auto& e : edges) {
-    ++succ_off[e.from + 1];
-    ++indeg[e.to];
-  }
-  for (std::uint32_t i = 0; i < view.size(); ++i) {
-    succ_off[i + 1] += succ_off[i];
-  }
-  struct Succ {
-    std::uint32_t to;
-    std::uint64_t latency;
-    EdgeKind kind;
-  };
-  std::vector<Succ> succ(edges.size());
-  {
-    auto cursor = succ_off;
-    for (const auto& e : edges) {
-      succ[cursor[e.from]++] = {e.to, e.latency, e.kind};
-    }
-  }
-
-  // Kahn over the constraint graph, accumulating dependency-ready times;
-  // the arbiter adds its grant order and server wait on top, attributed
-  // as bus stall, not dependence.
+  // One pass in FIFO order, accumulating dependency-ready times; the
+  // arbiter adds its grant order and server wait on top, attributed as
+  // bus stall, not dependence.
   std::vector<std::uint64_t> dep_ready(view.size(), 0);
   std::vector<std::uint64_t> start(view.size(), 0);
-  // Contention-relaxed twin of the traversal: the same event graph
-  // (stream, sync, and the arbiter's in-order grant chain) without the
+  // Contention-relaxed twin of the pass: the same event graph (stream,
+  // sync, and the arbiter's in-order grant chain) without the
   // width-limited server pool. Its critical path can only be shorter,
   // so the resulting span is an honest makespan lower bound.
   std::vector<std::uint64_t> dep_ready_lb(view.size(), 0);
@@ -499,16 +486,7 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
   // how the per-op wait splits into sync_wait vs bus_wait below.
   std::vector<std::uint64_t> stream_ready(view.size(), 0);
   BusArbiter bus(bus_width);
-  std::vector<std::uint32_t> queue;
-  queue.reserve(view.size());
-  for (std::uint32_t i = 0; i < view.size(); ++i) {
-    if (indeg[i] == 0) {
-      queue.push_back(i);
-    }
-  }
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const auto i = queue[head++];
+  for (const auto i : fifo) {
     const auto ready = dep_ready[i];
     const auto s = uses_bus[i] ? bus.grant(ready) : ready;
     t.bus_stall_cycles += s - ready;  // arbiter order + server wait
@@ -518,26 +496,17 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
     lb_span = std::max(lb_span, s_lb + kPhases);
     const auto b = view.bank_of[i];
     t.bank_finish_cycles[b] = std::max(t.bank_finish_cycles[b], finish);
-    for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
-      const auto [j, latency, kind] = succ[k];
-      if (kind == EdgeKind::bus) {
+    for (const auto& [from, j, latency, kind] : graph.succ(i)) {
+      if (kind == OpGraph::Kind::bus) {
         bus_floor_lb[j] = std::max(bus_floor_lb[j], s_lb);
       } else {
         dep_ready[j] = std::max(dep_ready[j], s + latency);
         dep_ready_lb[j] = std::max(dep_ready_lb[j], s_lb + latency);
-        if (kind == EdgeKind::stream) {
+        if (kind == OpGraph::Kind::stream) {
           stream_ready[j] = std::max(stream_ready[j], s + latency);
         }
       }
-      if (--indeg[j] == 0) {
-        queue.push_back(j);
-      }
     }
-  }
-  if (queue.size() != view.size()) {
-    throw std::logic_error(
-        "decoupled execution deadlocked: bank streams and sync tokens form "
-        "a cycle");
   }
 
   for (std::uint32_t b = 0; b < view.banks; ++b) {
@@ -584,11 +553,13 @@ DecoupledTiming decoupled_timing(const ParallelProgram& program,
     return view.bank_of[x] < view.bank_of[y];
   });
   t.order.reserve(view.size());
+  t.steps.reserve(view.size());
   t.start_cycles.reserve(view.size());
   t.sync_wait_cycles.reserve(view.size());
   t.bus_wait_cycles.reserve(view.size());
   for (const auto gid : order) {
     t.order.emplace_back(view.bank_of[gid], view.pos(gid));
+    t.steps.push_back(view.step_of[gid]);
     t.start_cycles.push_back(start[gid]);
     // The wait before issue splits at dep_ready: up to there the op was
     // held by sync tokens (readiness beyond its own stream's pipelining),

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -113,21 +114,90 @@ struct StreamView {
   std::vector<std::uint32_t> order;
 };
 
+/// One op-level ordering requirement: op `to` must not run its
+/// `to_phase` before op `from`'s `from_phase` completes, which costs
+/// phase_latency(from_phase, to_phase) start to start. Ops are
+/// StreamView ids.
+struct HazardEdge {
+  std::uint32_t from = 0;
+  std::uint32_t to = 0;
+  std::uint32_t from_phase = 0;
+  std::uint32_t to_phase = 0;
+  /// A RAW or WAR edge between a cross-bank copy's remote operand read
+  /// and a write in another bank: a hazard a sync token must cover.
+  bool cross_bank = false;
+
+  friend bool operator==(const HazardEdge&, const HazardEdge&) noexcept =
+      default;
+};
+
+/// The one hazard walk over a program: every RAW, WAR and WAW edge per
+/// physical cell, found in a single pass over the ops in lockstep
+/// program order (StreamView::order, a valid serialization), keeping
+/// each cell's last write and the reads since it. Operands A and B are
+/// read in their read phases; the destination Z is read in the write
+/// phase, where it joins the majority. Same-step reads and writes of a
+/// cell cannot occur in a valid program, so every edge also points from
+/// an earlier step to a later one. derive_sync and check_sync take the
+/// cross_bank edges, reorder_streams the whole set. Operands beyond the
+/// program's cells are skipped (validate() reports them).
+[[nodiscard]] std::vector<HazardEdge> hazard_edges(
+    const ParallelProgram& program, const StreamView& view);
+
+/// A start-to-start ordering graph over op ids in CSR form: an arc
+/// from → to of `latency` lets op `to` start no earlier than `latency`
+/// cycles after op `from` starts.
+class OpGraph {
+ public:
+  enum class Kind : std::uint8_t { stream, sync, bus, hazard };
+  struct Arc {
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
+    std::uint32_t latency = 0;
+    Kind kind = Kind::hazard;
+  };
+
+  /// Groups `arcs` by their `from` op, keeping their relative order.
+  OpGraph(std::uint32_t ops, const std::vector<Arc>& arcs);
+
+  [[nodiscard]] std::uint32_t size() const noexcept {
+    return static_cast<std::uint32_t>(indegree_.size());
+  }
+  /// The arcs leaving op `i`.
+  [[nodiscard]] std::span<const Arc> succ(std::uint32_t i) const {
+    return {arcs_.data() + off_[i], arcs_.data() + off_[i + 1]};
+  }
+  /// Number of arcs entering each op.
+  [[nodiscard]] const std::vector<std::uint32_t>& indegree() const noexcept {
+    return indegree_;
+  }
+  /// Kahn's topological order with a FIFO queue seeded in id order. It
+  /// is shorter than size() exactly when the graph has a cycle.
+  [[nodiscard]] std::vector<std::uint32_t> fifo_order() const;
+
+ private:
+  std::vector<std::uint32_t> off_;
+  std::vector<Arc> arcs_;
+  std::vector<std::uint32_t> indegree_;
+};
+
 /// Derives and stores the minimal sync-token set for `program`,
 /// replacing any existing tokens. One ordering requirement exists per
-/// cross-bank hazard: a remote read (transfer copy) must happen after
-/// the last earlier write of the cell it reads (RAW) and before the
-/// cell's next overwrite (WAR). Requirements carry phase-level
-/// endpoints (see SyncEdge): a RAW token signals at the producer's
-/// write-phase completion and stalls only the consumer phase that reads
-/// the operand (read A or read B), a WAR token signals when the remote
-/// read's operand phase completes and stalls only the overwriter's
-/// write phase. Requirements between the same ordered bank pair are
-/// reduced to their Pareto frontier — a requirement is dropped when
-/// another one signals later *and* waits earlier (folding its phase
-/// bounds into the survivor when the positions tie), so consecutive
-/// transfers between one bank pair coalesce into a single signal/wait —
-/// and each surviving requirement becomes one token with the signal
+/// cross-bank edge of the hazard walk (hazard_edges): a remote read
+/// (transfer copy) must happen after the last earlier write of the cell
+/// it reads (RAW) and before the cell's next overwrite (WAR).
+/// Requirements carry phase-level endpoints (see SyncEdge), merged to
+/// the strictest pair where they join the same two ops: a RAW token
+/// signals at the producer's write-phase completion and stalls only the
+/// consumer phase that reads the operand (read A or read B), a WAR
+/// token signals when the remote read's operand phase completes and
+/// stalls only the overwriter's write phase. Requirements between the
+/// same ordered bank pair are reduced to their Pareto frontier — a
+/// requirement is dropped when another one signals later *and* waits
+/// earlier (folding its phase bounds into the survivor when the
+/// positions tie), so consecutive transfers between one bank pair
+/// coalesce into a single signal/wait — and each surviving requirement
+/// becomes one token with the signal
 /// placed as early and the wait as late as the hazard allows
 /// (slack-aware placement). Every derived token points from a lockstep
 /// step to a strictly later one, so the token graph is acyclic by
@@ -136,13 +206,14 @@ void derive_sync(ParallelProgram& program);
 
 /// Checks the stored sync tokens: both endpoints name existing, distinct
 /// banks at in-range stream positions with in-range phase offsets
-/// (< arch::Machine::phases_per_instruction); stream order plus tokens
-/// form no cycle (a cycle means decoupled execution deadlocks); and
-/// every cross-bank hazard is covered by a token between the same bank
-/// pair that signals at least as late and waits at least as early as
-/// the hazard requires — at equal stream positions the token's phases
-/// must be at least as strict (signal phase ≥, wait phase ≤) as the
-/// hazard's; at strictly later signal / earlier wait positions the
+/// (< arch::Machine::phases_per_instruction); the constraint graph
+/// decoupled_timing walks (stream order plus tokens) has no cycle, since
+/// a cycle means decoupled execution deadlocks; and every cross-bank edge
+/// of the hazard walk (hazard_edges) is covered by a token between the
+/// same bank pair that signals at least as late and waits at least as
+/// early as the hazard requires — at equal stream positions the token's
+/// phases must be at least as strict (signal phase ≥, wait phase ≤) as
+/// the hazard's; at strictly later signal / earlier wait positions the
 /// stream's own kIssueCadence covers any phase offset.
 /// Returns an empty string when the tokens are sound, otherwise a
 /// description of the first violation. Called by
@@ -176,6 +247,10 @@ struct DecoupledTiming {
   /// instructions in so every read sees exactly the values the sync
   /// tokens guarantee.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> order;
+  /// Lockstep step of each op of `order`, index-aligned: where a
+  /// functional run finds the op's slot (ParallelProgram::step, one slot
+  /// per bank) without rebuilding a StreamView.
+  std::vector<std::uint32_t> steps;
   /// Per-op cycle accounting, aligned index-for-index with `order`: the
   /// cycle the op issued, and how its pre-issue wait splits between
   /// sync-token stalls (dependency ready beyond the bank's own pipelined
@@ -189,9 +264,12 @@ struct DecoupledTiming {
 };
 
 /// Event-driven timing of the decoupled execution under the cost model
-/// above. Every bank advances through its own serial stream at the
-/// kIssueCadence, where the lockstep machine pays the full kPhases per
-/// step for every bank, busy or not. A wait blocks only the consumer
+/// above: one pass, in FIFO topological order, over the OpGraph of
+/// stream order, sync tokens and (on a bounded bus) the bus grant chain
+/// — the constraint graph check_sync tests for deadlock. Every bank
+/// advances through its own serial stream at the kIssueCadence, where
+/// the lockstep machine pays the full kPhases per step for every bank,
+/// busy or not. A wait blocks only the consumer
 /// phase the token names (SyncEdge::to_phase) until the producer phase
 /// it watches (SyncEdge::from_phase) completes, after phase_latency —
 /// clamped so a consumer never launches before its producer (the
@@ -206,8 +284,9 @@ struct DecoupledTiming {
 /// Throws std::invalid_argument when `phases_per_instruction` is not
 /// the controller's kPhases (check_sync ties token phases to that
 /// cycle), and std::logic_error when the program has cross-bank reads
-/// but no sync tokens (call derive_sync first) or when the token graph
-/// deadlocks.
+/// but no sync tokens (call derive_sync first), when check_sync rejects
+/// the tokens (its deadlock test then runs on this run's graph, bus
+/// chain included), or when the constraint graph has a cycle.
 [[nodiscard]] DecoupledTiming decoupled_timing(
     const ParallelProgram& program, std::uint32_t bus_width,
     std::uint64_t phases_per_instruction);

@@ -10,71 +10,6 @@
 
 namespace plim::sched {
 
-namespace {
-
-struct HazardEdge {
-  std::uint32_t from;
-  std::uint32_t to;
-  std::uint32_t latency;  ///< start-to-start cycles (phase_latency)
-};
-
-/// Op-level hazard graph over physical cells, built from the program
-/// order (a valid serialization, so "last write" / "reads since the
-/// last write" are well defined). Ops are numbered in program order:
-/// op k is view id view.order[k]. Every RM3 op reads its destination
-/// cell too (Z enters the majority), consumed in the write phase.
-/// Latencies follow the phase-level sync contract (phase_latency).
-std::vector<HazardEdge> hazard_edges(const StreamView& view,
-                                     std::uint32_t cells) {
-  const auto total = view.size();
-  std::vector<HazardEdge> edges;
-  edges.reserve(std::size_t{total} * 3);
-  // Per cell: the last write so far and the reads since it.
-  std::vector<std::uint32_t> last_write(cells, total);
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-      reads_since(cells);  // (reader id, read phase)
-  const auto read = [&](std::uint32_t gid, std::uint32_t c,
-                        std::uint32_t read_phase) {
-    if (c >= cells) {
-      return;
-    }
-    if (last_write[c] != total && last_write[c] != gid) {
-      // RAW: the read phase starts after the producer's write commits.
-      edges.push_back(
-          {last_write[c], gid, phase_latency(kWritePhase, read_phase)});
-    }
-    reads_since[c].emplace_back(gid, read_phase);
-  };
-  for (std::uint32_t gid = 0; gid < total; ++gid) {
-    const auto& ins = view.slot[view.order[gid]].instr;
-    if (ins.a.is_rram()) {
-      read(gid, ins.a.address(), kReadAPhase);
-    }
-    if (ins.b.is_rram()) {
-      read(gid, ins.b.address(), kReadBPhase);
-    }
-    read(gid, ins.z, kWritePhase);  // Z joins the majority in the write phase
-    if (ins.z < cells) {
-      for (const auto& [r, phase] : reads_since[ins.z]) {
-        if (r != gid) {
-          // WAR: the overwrite commits after the read's phase completes.
-          edges.push_back({r, gid, phase_latency(phase, kWritePhase)});
-        }
-      }
-      if (last_write[ins.z] != total && last_write[ins.z] != gid) {
-        // WAW: write order.
-        edges.push_back(
-            {last_write[ins.z], gid, phase_latency(kWritePhase, kWritePhase)});
-      }
-      last_write[ins.z] = gid;
-      reads_since[ins.z].clear();
-    }
-  }
-  return edges;
-}
-
-}  // namespace
-
 StreamOrderResult reorder_streams(ParallelProgram& program) {
   StreamOrderResult result;
   const auto bus_width = program.bus_width();
@@ -87,39 +22,35 @@ StreamOrderResult reorder_streams(ParallelProgram& program) {
   if (total == 0 || banks == 0) {
     return result;
   }
-  // Op k (program order, see hazard_edges) ↔ its view id.
+  // The ops renumbered in program order (op k is view id view.order[k]),
+  // the numbering the issue heaps break ties by; every hazard edge points
+  // forward in it.
   const auto bank_of = [&](std::uint32_t k) {
     return view.bank_of[view.order[k]];
   };
   const auto uses_bus = [&](std::uint32_t k) {
     return view.uses_bus[view.order[k]];
   };
-
-  const auto edges = hazard_edges(view, program.num_rrams());
-  std::vector<std::uint32_t> indeg(total, 0);
-  std::vector<std::uint32_t> succ_off(total + 1, 0);
+  std::vector<std::uint32_t> rank(total);
+  for (std::uint32_t k = 0; k < total; ++k) {
+    rank[view.order[k]] = k;
+  }
+  const auto edges = hazard_edges(program, view);
+  std::vector<OpGraph::Arc> arcs;
+  arcs.reserve(edges.size());
   for (const auto& e : edges) {
-    ++succ_off[e.from + 1];
-    ++indeg[e.to];
+    arcs.push_back({rank[e.from], rank[e.to],
+                    phase_latency(e.from_phase, e.to_phase)});
   }
-  for (std::uint32_t i = 0; i < total; ++i) {
-    succ_off[i + 1] += succ_off[i];
-  }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> succ(edges.size());
-  {
-    auto cursor = succ_off;
-    for (const auto& e : edges) {
-      succ[cursor[e.from]++] = {e.to, e.latency};
-    }
-  }
+  const OpGraph graph(total, arcs);
+  auto indeg = graph.indegree();
 
   // Critical-path height (program order is a reverse-topological walk
   // when traversed backwards): the list scheduler's priority.
   std::vector<std::uint64_t> height(total, kPhases);
   for (std::uint32_t i = total; i-- > 0;) {
-    for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
-      height[i] = std::max(height[i],
-                           kPhases + succ[k].second + height[succ[k].first]);
+    for (const auto& a : graph.succ(i)) {
+      height[i] = std::max(height[i], kPhases + a.latency + height[a.to]);
     }
   }
 
@@ -211,11 +142,10 @@ StreamOrderResult reorder_streams(ParallelProgram& program) {
     const auto start = uses_bus(pick) ? bus.grant(best_time) : best_time;
     bank_free[best_bank] = start + kIssueCadence;
     issue_order.push_back(pick);
-    for (auto k = succ_off[pick]; k < succ_off[pick + 1]; ++k) {
-      const auto [j, latency] = succ[k];
-      dep_ready[j] = std::max(dep_ready[j], start + latency);
-      if (--indeg[j] == 0) {
-        release(j);
+    for (const auto& a : graph.succ(pick)) {
+      dep_ready[a.to] = std::max(dep_ready[a.to], start + a.latency);
+      if (--indeg[a.to] == 0) {
+        release(a.to);
       }
     }
   }
@@ -253,8 +183,8 @@ StreamOrderResult reorder_streams(ParallelProgram& program) {
     step_of[i] = st;
     bank_last[b] = st;
     bank_issued[b] = true;
-    for (auto k = succ_off[i]; k < succ_off[i + 1]; ++k) {
-      min_step[succ[k].first] = std::max(min_step[succ[k].first], st + 1);
+    for (const auto& a : graph.succ(i)) {
+      min_step[a.to] = std::max(min_step[a.to], st + 1);
     }
   }
 

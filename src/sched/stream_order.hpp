@@ -23,12 +23,13 @@ struct StreamOrderResult {
 /// instruction stream for the event-driven makespan instead of
 /// inheriting the lockstep step order. Bank assignment and cell
 /// allocation stay fixed; only the order ops issue within their bank
-/// changes. The pass list-schedules on the op-level hazard graph over
-/// physical cells (RAW/WAR/WAW per cell, phase_latency-priced) with the
-/// bus arbiter modelled, prioritising by
-/// critical-path height, then repacks the new streams into lockstep
-/// steps (so the program stays a valid ParallelProgram — the lockstep
-/// view is the canonical storage) and re-derives sync tokens.
+/// changes. The pass list-schedules on the whole edge set of the hazard
+/// walk (hazard_edges: RAW/WAR/WAW per physical cell), each edge priced
+/// by phase_latency and held in an OpGraph, with the bus arbiter
+/// modelled, prioritising by critical-path height. It then repacks the
+/// new streams into lockstep steps (so the program stays a valid
+/// ParallelProgram — the lockstep view is the canonical storage) and
+/// re-derives sync tokens, which decoupled_timing checks again.
 ///
 /// The reordered program is adopted only when its decoupled makespan is
 /// strictly smaller and its lockstep step count did not grow — a guard

@@ -3,14 +3,21 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "arch/machine.hpp"
 #include "arch/program.hpp"
 #include "circuits/epfl.hpp"
 #include "core/compiler.hpp"
+#include "driver/driver.hpp"
 #include "mig/random.hpp"
 #include "sched/decoupled.hpp"
 #include "sched/scheduler.hpp"
@@ -119,6 +126,237 @@ TEST(DeriveSync, CoalescesTransfersBetweenBankPairs) {
             std::size_t{2} * result.stats.transfers);
   EXPECT_GT(result.program.sync_edges().size(), 0u);
   EXPECT_EQ(result.program.validate(), "");
+}
+
+// ---- hazard walk ------------------------------------------------------------
+
+std::vector<HazardEdge> sorted(std::vector<HazardEdge> edges) {
+  const auto key = [](const HazardEdge& e) {
+    return std::tie(e.from, e.to, e.from_phase, e.to_phase, e.cross_bank);
+  };
+  std::sort(edges.begin(), edges.end(),
+            [&](const HazardEdge& x, const HazardEdge& y) {
+              return key(x) < key(y);
+            });
+  return edges;
+}
+
+std::vector<std::pair<arch::Operand, std::uint32_t>> operand_reads(
+    const arch::Instruction& ins) {
+  return {{ins.a, kReadAPhase}, {ins.b, kReadBPhase}};
+}
+
+/// The cross-bank hazard rule stated per remote read, by brute force
+/// over the writes, with no program-order walk: a remote operand read at
+/// step s of cell c is ordered after c's last write at a step before s
+/// (RAW) and before c's first write at a step after s (WAR), when that
+/// write is in another bank.
+std::vector<HazardEdge> step_search_reference(const ParallelProgram& p,
+                                              const StreamView& view) {
+  std::vector<HazardEdge> ref;
+  for (std::uint32_t r = 0; r < view.size(); ++r) {
+    const auto bank = view.bank_of[r];
+    const auto s = view.step_of[r];
+    const auto [begin, end] = p.bank_range(bank);
+    for (const auto& [op, phase] : operand_reads(view.slot[r].instr)) {
+      if (!op.is_rram() || (op.address() >= begin && op.address() < end)) {
+        continue;
+      }
+      std::optional<std::uint32_t> last;
+      std::optional<std::uint32_t> next;
+      for (std::uint32_t w = 0; w < view.size(); ++w) {
+        if (view.slot[w].instr.z != op.address()) {
+          continue;
+        }
+        const auto ws = view.step_of[w];
+        if (ws < s && (!last || ws > view.step_of[*last])) {
+          last = w;
+        }
+        if (ws > s && (!next || ws < view.step_of[*next])) {
+          next = w;
+        }
+      }
+      if (last && view.bank_of[*last] != bank) {
+        ref.push_back({*last, r, kWritePhase, phase, true});
+      }
+      if (next && view.bank_of[*next] != bank) {
+        ref.push_back({r, *next, phase, kWritePhase, true});
+      }
+    }
+  }
+  return sorted(std::move(ref));
+}
+
+/// The hazard rule stated per cell, by brute force: each cell's accesses
+/// in program order (an op reads A, then B, then Z, then writes Z); a
+/// read depends on the cell's latest earlier write (RAW), a write on
+/// every other op's read since that write (WAR) and on the write itself
+/// (WAW).
+std::vector<HazardEdge> per_cell_reference(const ParallelProgram& p,
+                                           const StreamView& view) {
+  struct Access {
+    std::uint32_t op;
+    std::uint32_t phase;
+    bool write;
+    bool remote;
+  };
+  std::vector<std::vector<Access>> by_cell(p.num_rrams());
+  for (const auto id : view.order) {
+    const auto& ins = view.slot[id].instr;
+    const auto [begin, end] = p.bank_range(view.bank_of[id]);
+    for (const auto& [op, phase] : operand_reads(ins)) {
+      if (op.is_rram()) {
+        const auto c = op.address();
+        by_cell[c].push_back({id, phase, false, c < begin || c >= end});
+      }
+    }
+    by_cell[ins.z].push_back({id, kWritePhase, false, false});
+    by_cell[ins.z].push_back({id, kWritePhase, true, false});
+  }
+  std::vector<HazardEdge> ref;
+  for (const auto& acc : by_cell) {
+    for (std::size_t j = 0; j < acc.size(); ++j) {
+      std::optional<std::size_t> w;
+      for (std::size_t i = j; i-- > 0;) {
+        if (acc[i].write) {
+          w = i;
+          break;
+        }
+      }
+      const auto cross = [&](const Access& read, std::uint32_t writer) {
+        return read.remote && view.bank_of[read.op] != view.bank_of[writer];
+      };
+      if (!acc[j].write) {
+        if (w) {
+          ref.push_back({acc[*w].op, acc[j].op, kWritePhase, acc[j].phase,
+                         cross(acc[j], acc[*w].op)});
+        }
+        continue;
+      }
+      for (auto i = w ? *w + 1 : 0; i < j; ++i) {
+        if (acc[i].op != acc[j].op) {
+          ref.push_back({acc[i].op, acc[j].op, acc[i].phase, kWritePhase,
+                         cross(acc[i], acc[j].op)});
+        }
+      }
+      if (w) {
+        ref.push_back(
+            {acc[*w].op, acc[j].op, kWritePhase, kWritePhase, false});
+      }
+    }
+  }
+  return sorted(std::move(ref));
+}
+
+/// Calls `check` on decoupled schedules of random MIGs at banks {2, 4, 8},
+/// bus widths {0, 1, 2}, with post and compiler placement.
+template <class Check>
+void for_fuzzed_schedules(Check check) {
+  for (std::uint64_t seed = 21; seed <= 23; ++seed) {
+    mig::RandomMigOptions mopts;
+    mopts.num_pis = 4 + static_cast<std::uint32_t>(seed % 4);
+    mopts.num_gates = 50 + static_cast<std::uint32_t>(seed * 37 % 60);
+    mopts.num_pos = 3;
+    const auto network = mig::random_mig(mopts, seed);
+    const auto flat = core::compile(network);
+    for (const auto banks :
+         {std::uint32_t{2}, std::uint32_t{4}, std::uint32_t{8}}) {
+      core::CompileOptions copts;
+      copts.placement_banks = banks;
+      const auto placed = core::compile(network, copts);
+      ASSERT_TRUE(placed.placement.has_value());
+      for (const auto bus :
+           {std::uint32_t{0}, std::uint32_t{1}, std::uint32_t{2}}) {
+        for (const bool compiler : {false, true}) {
+          auto opts = with_banks(banks);
+          opts.execution = ExecutionModel::decoupled;
+          opts.cost.bus_width = bus;
+          if (compiler) {
+            opts.placement_hints = placed.placement->cell_bank;
+          }
+          const auto result =
+              schedule(compiler ? placed.program : flat.program, opts);
+          ASSERT_EQ(result.program.validate(), "");
+          SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                       std::to_string(banks) + " banks, bus " +
+                       std::to_string(bus) +
+                       (compiler ? ", compiler" : ", post"));
+          check(result.program);
+        }
+      }
+    }
+  }
+}
+
+TEST(HazardWalk, CrossBankEdgesMatchStepSearch) {
+  std::size_t cross_bank = 0;
+  for_fuzzed_schedules([&](const ParallelProgram& p) {
+    const StreamView view(p);
+    std::vector<HazardEdge> walk;
+    for (const auto& e : hazard_edges(p, view)) {
+      if (e.cross_bank) {
+        walk.push_back(e);
+      }
+    }
+    EXPECT_EQ(sorted(walk), step_search_reference(p, view));
+    cross_bank += walk.size();
+  });
+  EXPECT_GT(cross_bank, 0u) << "the fuzzed schedules moved no data";
+}
+
+TEST(HazardWalk, FullEdgeSetMatchesPerCellRule) {
+  for_fuzzed_schedules([](const ParallelProgram& p) {
+    const StreamView view(p);
+    EXPECT_EQ(sorted(hazard_edges(p, view)), per_cell_reference(p, view));
+  });
+}
+
+/// The stream reorder list-schedules on the walk's full edge set. voter@2
+/// and max@8 (compiler placement) are the golden configurations where it
+/// is adopted: their listings must still be the ones
+/// tests/golden/sched_listings.txt pins.
+TEST(HazardWalk, FullEdgeSetReproducesTheAdoptedReorders) {
+  std::ifstream in(std::string(PLIM_SOURCE_DIR) +
+                   "/tests/golden/sched_listings.txt");
+  ASSERT_TRUE(in.good());
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    golden.push_back(line);
+  }
+  const auto fnv1a64 = [](const std::string& text) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : text) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  for (const auto& [name, banks, compiler] :
+       {std::tuple{"voter", 2u, false}, std::tuple{"max", 8u, true}}) {
+    Options options;
+    options.banks = banks;
+    options.verify.enabled = false;
+    options.schedule.execution = ExecutionModel::decoupled;
+    if (compiler) {
+      options.placement = PlacementMode::compiler;
+    }
+    const auto outcome =
+        Driver(options).run(CompileRequest::from_benchmark(name));
+    ASSERT_TRUE(outcome.ok()) << outcome.error_summary();
+    ASSERT_TRUE(outcome.parallel.has_value());
+    EXPECT_GT(outcome.stats.schedule->stream_reorder_saved_cycles, 0u)
+        << name << ": the stream reorder no longer fires";
+    const StreamView view(*outcome.parallel);
+    EXPECT_EQ(sorted(hazard_edges(*outcome.parallel, view)),
+              per_cell_reference(*outcome.parallel, view));
+    char line[160];
+    std::snprintf(line, sizeof line, "%s banks=%u decoupled bus=0 %s %016llx",
+                  name, banks, compiler ? "compiler" : "post",
+                  static_cast<unsigned long long>(
+                      fnv1a64(to_text(*outcome.parallel))));
+    EXPECT_NE(std::find(golden.begin(), golden.end(), line), golden.end())
+        << line;
+  }
 }
 
 // ---- decoupled equivalence --------------------------------------------------
